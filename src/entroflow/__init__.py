@@ -37,7 +37,6 @@ from .grid import (
     Grid,
     ScalarField,
     WeightedOperator,
-    assemble_operator,
     build_grid,
     constant_field,
     field_from_csv,
@@ -53,7 +52,6 @@ from .model import (
     arctan_sigmoid,
     eval_network,
     generalization_error,
-    generalization_error_grad,
     load_dataset_csv,
     saturating_squared_loss,
     tabulated_activation,
@@ -65,7 +63,6 @@ from .potential import (
     build_potential,
     certified_envelope,
     default_box,
-    estimate_M,
     normalize_gibbs,
 )
 from .solver import FlowState, SolverConfig, SolverDiagnosticError, evolve, init_state, step

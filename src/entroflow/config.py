@@ -161,6 +161,15 @@ class RunConfig:
     def build_gibbs(self) -> GibbsField:
         data, loss, act = self.load_dataset()
         fieldv = build_potential(data, loss, act, self.lam, self.tau, self.build_grid())
+        if np.min(fieldv.gamma.values) < np.finfo(float).tiny:
+            box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(self.grid_lo, self.grid_hi))
+            lo, hi = default_box(self.lam, self.tau, self.grid_dim,
+                                 m_envelope=certified_envelope(data, loss))
+            raise ConfigError(
+                f"Gibbs weight exp(-V/tau) underflows on the box {box} at tau = {self.tau:g}; "
+                f"choose another box, e.g. the automatic [{lo:g}, {hi:g}] per axis "
+                f"(omit grid.lo and grid.hi)"
+            )
         if self.normalize_gamma:
             fieldv = normalize_gibbs(fieldv)
         return fieldv
@@ -215,6 +224,9 @@ def resolve_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     try:
         lam = float(_get(raw, "lambda", required=True))
         tau = float(_get(raw, "tau", required=True))
+        for key, value in (("lambda", lam), ("tau", tau)):
+            if not value > 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
         grid_dim = int(_get(raw, "grid.dim", required=True))
         grid_n_raw = _get(raw, "grid.n", required=True)
         grid_n = [int(v) for v in (grid_n_raw if isinstance(grid_n_raw, list) else [grid_n_raw])]
@@ -275,6 +287,8 @@ def resolve_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     try:
         # referenced files must exist and parse before any command starts work
         data, loss, _ = cfg.load_dataset()
+        if not cfg.initial_stdev > 0:
+            raise ConfigError(f"initial.stdev must be positive, got {cfg.initial_stdev}")
         if cfg.initial_kind == "from-file":
             if not cfg.initial_path:
                 raise ConfigError("initial.kind = from-file requires initial.path")

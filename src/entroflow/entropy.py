@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 from scipy.special import xlogy
 
 
@@ -149,9 +148,9 @@ def psi_decompose(gen: EntropyGenerator, s) -> np.ndarray | float:
 def legendre_conjugate(gen: EntropyGenerator, r: float) -> float:
     """Numerical conjugate ``sup_{s >= 0} (s r - phi(s))``.
 
-    The supremand is concave in ``s``, so the maximizer is bracketed by
-    monotone expansion on ``phi1`` and refined by root finding; golden-section
-    search on the supremand is the fallback when derivative bracketing fails.
+    The supremand is concave in ``s``, so the maximizer solves
+    ``phi1(s) = r``; it is bracketed by doubling and refined by bisection on
+    the increasing ``phi1`` to a relative width of ``1e-14``.
     Superlinearity makes the supremum finite for every finite ``r``.
     """
     if not math.isfinite(r):
@@ -173,16 +172,15 @@ def legendre_conjugate(gen: EntropyGenerator, r: float) -> float:
     else:
         raise ArithmeticError(f"could not bracket the conjugate maximizer for r={r}")
 
-    try:
-        s_star = optimize.brentq(
-            lambda s: float(gen.phi1(np.array(s))) - r, floor, s_hi, xtol=1e-14, rtol=1e-14
-        )
-    except ValueError:
-        res = optimize.minimize_scalar(
-            lambda s: -supremand(s), bracket=None, bounds=(0.0, s_hi),
-            method="bounded", options={"xatol": 1e-13},
-        )
-        s_star = float(res.x)
+    # invariant: phi1(s_lo) < r <= phi1(s_hi)
+    s_lo = floor
+    while s_hi - s_lo > 1e-14 * s_hi:
+        mid = 0.5 * (s_lo + s_hi)
+        if float(gen.phi1(np.array(mid))) < r:
+            s_lo = mid
+        else:
+            s_hi = mid
+    s_star = 0.5 * (s_lo + s_hi)
     return max(supremand(s_star), supremand(0.0))
 
 

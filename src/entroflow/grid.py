@@ -175,7 +175,6 @@ class WeightedOperator:
     """
 
     def __init__(self, grid: Grid, gamma: ScalarField):
-        _check_same_grid(gamma, gamma)
         if gamma.grid != grid:
             raise ValueError("gamma lives on a different grid")
         if np.any(gamma.values <= 0.0):
@@ -237,20 +236,12 @@ class WeightedOperator:
         return float(np.dot(self.edge_cond * dw, dv))
 
 
-def assemble_operator(grid: Grid, gamma: ScalarField) -> WeightedOperator:
-    """Build the weighted diffusion operator for node weights ``gamma > 0``."""
-    return WeightedOperator(grid, gamma)
-
-
 def field_to_csv(f: ScalarField, path) -> None:
     """Write a field as CSV with columns ``x_1,...,x_d,value``, one row per node."""
     g = f.grid
     header = ",".join(f"x_{a + 1}" for a in range(g.dim)) + ",value"
-    lines = [header]
-    nodes = g.nodes
-    for k in range(g.num_nodes):
-        coords = ",".join(repr(float(c)) for c in nodes[k])
-        lines.append(f"{coords},{float(f.values[k])!r}")
+    rows = np.column_stack([g.nodes, f.values]).tolist()
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

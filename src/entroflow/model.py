@@ -204,23 +204,6 @@ def generalization_error(x, data: Dataset, loss: Loss, act: Activation):
     return float(total[0]) if single else total
 
 
-def generalization_error_grad(x, data: Dataset, loss: Loss, act: Activation):
-    """Gradient of :func:`generalization_error` in the parameters, by chain rule."""
-    x_arr = np.asarray(x, dtype=float)
-    single = x_arr.ndim == 1
-    x0, xp = _split_params(x_arr)
-    z, y, wgt = data.arrays()
-    pre = xp @ z.T
-    sig = act.eval(pre)
-    dsig = act.deriv(pre)
-    outputs = x0[:, None] * sig
-    dl = loss.partial1(outputs, y[None, :]) * wgt[None, :]
-    grad0 = np.sum(dl * sig, axis=1)
-    gradp = (dl * dsig * x0[:, None]) @ z
-    grad = np.concatenate([grad0[:, None], gradp], axis=1)
-    return grad[0] if single else grad
-
-
 def load_dataset_csv(path, z_lo, z_hi, y_lo: float, y_hi: float) -> Dataset:
     """Read weighted atoms from a CSV with header ``z_1,...,z_k,y[,weight]``.
 

@@ -5,8 +5,8 @@ regularizer ``(lam/2) |x|^2``; because it does not depend on the evolving
 measure, the flow it drives is linear.  The reference weight is
 ``exp(-V / tau)``, whose total mass is finite and bounded by
 ``exp(M / tau) * (2 pi tau / lam)^(d/2)`` where ``M`` bounds the data term.
-Normalization shifts the potential by a constant, which leaves its gradient
-(and hence the flow) untouched while making the total mass exactly one.
+Normalization shifts the potential by a constant, which leaves the flow
+untouched while making the total mass exactly one.
 """
 
 from __future__ import annotations
@@ -16,20 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, ScalarField, WeightedOperator, assemble_operator, integrate
-from .model import Activation, Dataset, Loss, generalization_error, generalization_error_grad
+from .grid import Grid, ScalarField, WeightedOperator, integrate
+from .model import Activation, Dataset, Loss, generalization_error
 
 
 @dataclass
 class GibbsField:
-    """Grid-sampled potential, its gradient, and the Gibbs weight.
+    """Grid-sampled potential and its Gibbs weight.
 
     Attributes
     ----------
     V : ScalarField
         Potential values at the nodes.
-    gradV : list of ScalarField
-        Analytic gradient components, one field per axis.
     gamma : ScalarField
         ``exp(-V / tau)`` at the nodes, strictly positive.
     Z : float
@@ -45,7 +43,6 @@ class GibbsField:
 
     grid: Grid
     V: ScalarField
-    gradV: list[ScalarField]
     gamma: ScalarField
     Z: float
     Z_raw: float
@@ -59,22 +56,13 @@ class GibbsField:
     def operator(self) -> WeightedOperator:
         """Weighted diffusion operator for the current gamma (cached)."""
         if self._operator is None:
-            self._operator = assemble_operator(self.grid, self.gamma)
+            self._operator = WeightedOperator(self.grid, self.gamma)
         return self._operator
 
     def mass_bound(self, use_envelope: bool = False) -> float:
         """Finiteness envelope ``exp(M/tau) * (2 pi tau / lam)^(d/2)``."""
         m = self.m_envelope if use_envelope else self.m_grid
         return math.exp(m / self.tau) * (2.0 * math.pi * self.tau / self.lam) ** (self.grid.dim / 2.0)
-
-
-def estimate_M(data: Dataset | None, loss: Loss | None, act: Activation | None,
-               grid: Grid) -> float:
-    """Max of the absolute data term over the grid nodes (0 with no data)."""
-    if data is None or loss is None:
-        return 0.0
-    vals = generalization_error(grid.nodes, data, loss, act)
-    return max(float(np.max(np.abs(vals))), 0.0)
 
 
 def certified_envelope(data: Dataset | None, loss: Loss | None) -> float:
@@ -98,18 +86,14 @@ def build_potential(data: Dataset | None, loss: Loss | None, act: Activation | N
     nodes = grid.nodes
     if data is not None:
         gen_err = generalization_error(nodes, data, loss, act)
-        gen_grad = generalization_error_grad(nodes, data, loss, act)
     else:
         gen_err = np.zeros(grid.num_nodes)
-        gen_grad = np.zeros((grid.num_nodes, grid.dim))
     v = gen_err + 0.5 * lam * np.sum(nodes**2, axis=1)
-    grad = gen_grad + lam * nodes
     gamma = ScalarField(grid, np.exp(-v / tau))
     z = integrate(gamma)
     return GibbsField(
         grid=grid,
         V=ScalarField(grid, v),
-        gradV=[ScalarField(grid, grad[:, a]) for a in range(grid.dim)],
         gamma=gamma,
         Z=z,
         Z_raw=z,
@@ -124,8 +108,8 @@ def build_potential(data: Dataset | None, loss: Loss | None, act: Activation | N
 def normalize_gibbs(fieldv: GibbsField) -> GibbsField:
     """Shift the potential so the Gibbs weight has unit mass.
 
-    ``V <- V + tau * ln Z`` rescales ``gamma`` by ``1/Z``; the gradient is
-    untouched, so the flow generated downstream is identical.  Applying the
+    ``V <- V + tau * ln Z`` rescales ``gamma`` by ``1/Z``; a constant shift
+    of ``V`` leaves the flow generated downstream identical.  Applying the
     operation twice is idempotent up to roundoff.
     """
     z = fieldv.Z
@@ -134,7 +118,6 @@ def normalize_gibbs(fieldv: GibbsField) -> GibbsField:
     return GibbsField(
         grid=fieldv.grid,
         V=v,
-        gradV=fieldv.gradV,
         gamma=gamma,
         Z=integrate(gamma),
         Z_raw=fieldv.Z_raw,

@@ -229,7 +229,7 @@ class TestMinimizer:
         v = constant_field(g, -math.log(2.0))
         gamma = ScalarField(g, np.exp(-v.values))
         gibbs = GibbsField(
-            grid=g, V=v, gradV=[constant_field(g, 0.0)], gamma=gamma,
+            grid=g, V=v, gamma=gamma,
             Z=2.0, Z_raw=2.0, m_grid=0.0, m_envelope=0.0, lam=1.0, tau=1.0,
         )
         w_star, e_star = compute_minimizer(gibbs, make_tsallis(2.0, 1.0))

@@ -1,9 +1,14 @@
 """Config parsing and the command-line contract: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import entroflow
 from entroflow.cli import main, read_timeseries
 from entroflow.config import ConfigError, load_config, parse_config_text
 
@@ -30,6 +35,21 @@ def fast_config(tmp_path):
     path = tmp_path / "fast.toml"
     path.write_text(FAST_OU, encoding="utf-8")
     return path
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports entroflow from this source tree."""
+    src = str(Path(entroflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_cli_import_skips_scipy_optimize():
+    """Every CLI process would pay for scipy.optimize; nothing in the package uses it."""
+    proc = run_python("-c", "import sys, entroflow.cli; print('scipy.optimize' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestConfigParsing:
@@ -131,6 +151,27 @@ class TestRunCommand:
         bad = tmp_path / "bad.toml"
         bad.write_text("lambda = 1.0\ngrid.dim = 1\n", encoding="utf-8")
         assert main(["--config", str(bad), "--out", str(tmp_path / "o"), "run"]) == 2
+
+    @pytest.mark.parametrize("key,value", [("initial.stdev", "0.0"), ("initial.stdev", "-1.0"),
+                                           ("lambda", "-1.0"), ("tau", "0.0")])
+    def test_nonpositive_parameter_is_exit_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.toml"
+        cfg.write_text(FAST_OU + f"{key} = {value}\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be positive" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_underflowing_gibbs_weight_is_exit_2(self, tmp_path, command):
+        """At tau = 0.01 exp(-V/tau) underflows to 0 on [-6, 6]; the box is rejected."""
+        cfg = tmp_path / "cold.toml"
+        cfg.write_text(FAST_OU.replace("tau = 1.0", "tau = 0.01"), encoding="utf-8")
+        proc = run_python("-m", "entroflow.cli", "--config", str(cfg),
+                          "--out", str(tmp_path / "o"), command)
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert "underflows" in lines[0] and "tau = 0.01" in lines[0] and "[-6, 6]" in lines[0]
 
     def test_solver_failure_is_exit_3(self, tmp_path):
         # an enormous step with a single allowed iteration cannot converge

@@ -7,7 +7,7 @@ import pytest
 
 from entroflow import (
     ScalarField,
-    assemble_operator,
+    WeightedOperator,
     build_grid,
     constant_field,
     field_from_csv,
@@ -119,7 +119,7 @@ class TestWeightedOperator:
     def test_uniform_gamma_is_neumann_laplacian(self):
         """With unit weights the operator rows reproduce the 3-point stencil."""
         g = build_grid(1, 0, 1, 6)
-        op = assemble_operator(g, constant_field(g, 1.0))
+        op = WeightedOperator(g, constant_field(g, 1.0))
         h2 = g.h[0] ** 2
         e2 = np.zeros(6)
         e2[2] = 1.0
@@ -136,7 +136,7 @@ class TestWeightedOperator:
         g = build_grid(2, -1, 1, (9, 7))
         rng = np.random.default_rng(5)
         gamma = ScalarField(g, np.exp(rng.normal(size=g.num_nodes)))
-        op = assemble_operator(g, gamma)
+        op = WeightedOperator(g, gamma)
         assert np.max(np.abs(op.apply(np.ones(g.num_nodes)))) < 1e-12
 
     def test_kernel_is_only_constants(self):
@@ -144,7 +144,7 @@ class TestWeightedOperator:
         g = build_grid(1, -1, 1, 17)
         rng = np.random.default_rng(11)
         gamma = ScalarField(g, np.exp(rng.normal(size=17)))
-        op = assemble_operator(g, gamma)
+        op = WeightedOperator(g, gamma)
         for _ in range(20):
             w = rng.normal(size=17)
             w -= w.mean()
@@ -156,7 +156,7 @@ class TestWeightedOperator:
         g = build_grid(1, -1, 1, 17)
         rng = np.random.default_rng(7)
         gamma = ScalarField(g, np.exp(rng.normal(size=17)))
-        op = assemble_operator(g, gamma)
+        op = WeightedOperator(g, gamma)
         for _ in range(50):
             w = rng.normal(size=17)
             v = rng.normal(size=17)
@@ -168,7 +168,7 @@ class TestWeightedOperator:
         g = build_grid(2, -1, 1, (7, 7))
         rng = np.random.default_rng(9)
         gamma = ScalarField(g, np.exp(rng.normal(size=g.num_nodes)))
-        op = assemble_operator(g, gamma)
+        op = WeightedOperator(g, gamma)
         for _ in range(100):
             w = rng.normal(size=g.num_nodes)
             assert op.inner(op.apply(w), w) <= 1e-12
@@ -181,7 +181,7 @@ class TestWeightedOperator:
         g = build_grid(dim, lo, hi, n)
         rng = np.random.default_rng(13 + dim)
         gamma = ScalarField(g, np.exp(rng.normal(size=g.num_nodes)))
-        op = assemble_operator(g, gamma)
+        op = WeightedOperator(g, gamma)
         w = rng.normal(size=g.num_nodes)
         v = rng.normal(size=g.num_nodes)
         brute = _edge_form_bruteforce(g, gamma.values, w, v)
@@ -192,7 +192,7 @@ class TestWeightedOperator:
         g = build_grid(1, 0, 1, 5)
         bad = ScalarField(g, np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
-            assemble_operator(g, bad)
+            WeightedOperator(g, bad)
 
 
 class TestFieldCsv:
@@ -206,6 +206,25 @@ class TestFieldCsv:
         assert np.array_equal(back.values, f.values)
         header = path.read_text().splitlines()[0]
         assert header == "x_1,x_2,value"
+
+    def test_exact_text_on_3x3(self, tmp_path):
+        """Coordinates and values are written with repr, nodes in C order."""
+        g = build_grid(2, -1, 1, 3)
+        vals = [0.0, -0.0, 0.1, 1.0 / 3.0, -2.5, 1e-320, 1e300, 0.1 + 0.2, 7.0]
+        path = tmp_path / "field.csv"
+        field_to_csv(ScalarField(g, np.array(vals)), path)
+        assert path.read_bytes() == (
+            b"x_1,x_2,value\n"
+            b"-1.0,-1.0,0.0\n"
+            b"-1.0,0.0,-0.0\n"
+            b"-1.0,1.0,0.1\n"
+            b"0.0,-1.0,0.3333333333333333\n"
+            b"0.0,0.0,-2.5\n"
+            b"0.0,1.0,1e-320\n"
+            b"1.0,-1.0,1e+300\n"
+            b"1.0,0.0,0.30000000000000004\n"
+            b"1.0,1.0,7.0\n"
+        )
 
     def test_nonfinite_rejected(self):
         g = build_grid(1, 0, 1, 5)

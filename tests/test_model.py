@@ -1,4 +1,4 @@
-"""Network evaluation, bounded losses, datasets, and gradients."""
+"""Network evaluation, bounded losses, and datasets."""
 
 import math
 
@@ -11,7 +11,6 @@ from entroflow import (
     arctan_sigmoid,
     eval_network,
     generalization_error,
-    generalization_error_grad,
     load_dataset_csv,
     saturating_squared_loss,
     tabulated_activation,
@@ -121,29 +120,6 @@ class TestGeneralizationError:
             vals = generalization_error(x, data, loss, act)
             assert np.all(vals >= 0)
             assert np.all(vals <= loss.bound * data.total_mass + 1e-12)
-
-    def test_gradient_matches_finite_differences(self):
-        """Chain-rule gradient against central differences, 100 random draws."""
-        rng = np.random.default_rng(21)
-        loss = saturating_squared_loss()
-        act = arctan_sigmoid()
-        h = 1e-6
-        for _ in range(100):
-            data = Dataset(points=tuple(
-                DataPoint(z=rng.uniform(-1, 1, size=2), y=rng.uniform(0, 1),
-                          weight=rng.uniform(0.2, 1.0))
-                for _ in range(rng.integers(1, 4))
-            ))
-            x = rng.normal(scale=2.0, size=3)
-            grad = generalization_error_grad(x, data, loss, act)
-            fd = np.zeros(3)
-            for a in range(3):
-                e = np.zeros(3)
-                e[a] = h
-                fd[a] = (generalization_error(x + e, data, loss, act)
-                         - generalization_error(x - e, data, loss, act)) / (2 * h)
-            scale = max(np.max(np.abs(grad)), 1e-8)
-            assert np.max(np.abs(grad - fd)) / scale < 1e-5
 
 
 class TestScalarParameterSpace:
