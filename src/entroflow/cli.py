@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, load_config_dict, resolve_config
 from .grid import field_to_csv
-from .solver import SolverDiagnosticError, evolve, init_state
+from .solver import SolverDiagnosticError, evolve, init_state, solver_backend
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -108,6 +108,7 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> dict:
         "fit_residual": resid,
         "fit_window": window,
         "steps": steps,
+        "solver_backend": solver_backend(gibbs.operator()),
         "t_final": final.t,
         "wall_time_s": time.perf_counter() - started,
     }
@@ -123,7 +124,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         return EXIT_SOLVER
     rate = summary["fitted_rate"]
     rate_txt = f"{rate:.6f}" if rate is not None else "n/a"
-    print(f"run complete: {summary['steps']} steps, "
+    print(f"run complete: {summary['steps']} steps ({summary['solver_backend']}), "
           f"fitted rate {rate_txt}, guaranteed rate {summary['lambda_theory']:.6f}")
     print(f"artifacts in {out_dir}")
     return EXIT_OK

@@ -67,18 +67,19 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
+    def axis_weights(self, axis: int) -> np.ndarray:
+        """Trapezoidal quadrature weights along one axis."""
+        w = np.full(self.n[axis], self.h[axis])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
+
     @cached_property
     def quad_weights(self) -> np.ndarray:
         """Trapezoidal quadrature weight of each node (flat, C order)."""
-        axis_w = []
-        for a in range(self.dim):
-            w = np.full(self.n[a], self.h[a])
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            axis_w.append(w)
-        out = axis_w[0]
-        for w in axis_w[1:]:
-            out = np.multiply.outer(out, w)
+        out = self.axis_weights(0)
+        for a in range(1, self.dim):
+            out = np.multiply.outer(out, self.axis_weights(a))
         return out.ravel()
 
 
@@ -197,12 +198,9 @@ class WeightedOperator:
             j = idx[tuple(sl_hi)].ravel()
             # transversal weight: strip this axis' own trapezoid factor off
             # the lower endpoint's node weight
-            axis_w = np.full(grid.n[axis], h)
-            axis_w[0] *= 0.5
-            axis_w[-1] *= 0.5
             shape = [1] * grid.dim
             shape[axis] = grid.n[axis]
-            axis_w_full = np.broadcast_to(axis_w.reshape(shape), grid.n)
+            axis_w_full = np.broadcast_to(grid.axis_weights(axis).reshape(shape), grid.n)
             t = qw[tuple(sl_lo)].ravel() / axis_w_full[tuple(sl_lo)].ravel()
             c = np.sqrt(g[tuple(sl_lo)].ravel() * g[tuple(sl_hi)].ravel()) * t / h
             rows_i.append(i)
@@ -220,6 +218,49 @@ class WeightedOperator:
         vals = np.concatenate([c, c, -c, -c])
         # stiffness matrix of the edge form: w^T L v = sum_e c_e (w_j-w_i)(v_j-v_i)
         self.stiffness = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    @cached_property
+    def axis_eigenbasis(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+        """Per-axis generalized eigenpairs ``(mu_a, V_a)`` of a product-form weight.
+
+        When ``dim >= 2`` and ``gamma`` equals the outer product of its axis
+        slices through its peak node to 1e-12 relative at every node, the node
+        masses and conductances factor over axes:
+        ``D = M_0 (x) M_1 (x) ...`` and ``L = sum_a (x)_{b != a} M_b (x) L_a``
+        with ``M_a`` the axis mass and ``L_a`` the 1-d stiffness with
+        conductances ``sqrt(g_i g_{i+1}) / h_a``.  ``L v = mu D v`` then
+        separates into ``L_a V_a = M_a V_a diag(mu_a)`` with
+        ``V_a^T M_a V_a = I``, solved by ``eigh`` of the symmetric
+        ``M_a^{-1/2} L_a M_a^{-1/2}`` (fast diagonalization).  Returns None
+        in 1-d and for weights that are not a product over axes.
+        """
+        grid = self.grid
+        if grid.dim < 2:
+            return None
+        g = self.gamma.values.reshape(grid.n)
+        peak = np.unravel_index(np.argmax(g), grid.n)
+        # axis 0's slice keeps the peak value, the others are relative to it
+        factors = []
+        for axis in range(grid.dim):
+            fiber = list(peak)
+            fiber[axis] = slice(None)
+            factors.append(g[tuple(fiber)] / (g[peak] if axis else 1.0))
+        outer = factors[0]
+        for f in factors[1:]:
+            outer = np.multiply.outer(outer, f)
+        if np.max(np.abs(outer - g) / g) > 1e-12:
+            return None
+        basis = []
+        for axis, f in enumerate(factors):
+            mass = grid.axis_weights(axis) * f
+            cond = np.sqrt(f[:-1] * f[1:]) / grid.h[axis]
+            diff = np.diff(np.eye(grid.n[axis]), axis=0)
+            stiff = diff.T @ (cond[:, None] * diff)
+            root = np.sqrt(mass)
+            mu, q = np.linalg.eigh(stiff / np.multiply.outer(root, root))
+            mu[0] = 0.0  # the constants span the kernel exactly; eigh leaves roundoff
+            basis.append((mu, q / root[:, None]))
+        return tuple(basis)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Apply the generator: ``G w = -(L w) / m``."""

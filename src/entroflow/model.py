@@ -65,11 +65,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Activation:
-    """Smooth scalar activation with its derivative."""
+    """Smooth scalar activation."""
 
     kind: str
     eval: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
 
 
 def arctan_sigmoid() -> Activation:
@@ -77,7 +76,6 @@ def arctan_sigmoid() -> Activation:
     return Activation(
         kind="arctan-sigmoid",
         eval=lambda s: 0.5 * (1.0 + np.arctan(s)),
-        deriv=lambda s: 0.5 / (1.0 + np.asarray(s, dtype=float) ** 2),
     )
 
 
@@ -85,22 +83,18 @@ def tanh_sigmoid() -> Activation:
     return Activation(
         kind="tanh-sigmoid",
         eval=lambda s: 0.5 * (1.0 + np.tanh(s)),
-        deriv=lambda s: 0.5 * (1.0 - np.tanh(s) ** 2),
     )
 
 
 def tabulated_activation(s_table, values) -> Activation:
     """Cubic-spline activation through tabulated samples.
 
-    Outside the table the spline is extrapolated; the derivative comes from
-    the spline itself, so it stays consistent with finite differences of the
-    interpolant.
+    Outside the table the spline is extrapolated.
     """
     from scipy.interpolate import CubicSpline
 
     spline = CubicSpline(np.asarray(s_table, dtype=float), np.asarray(values, dtype=float))
-    dspline = spline.derivative()
-    return Activation(kind="custom-tabulated", eval=spline, deriv=dspline)
+    return Activation(kind="custom-tabulated", eval=spline)
 
 
 def activation_from_config(kind: str) -> Activation:
@@ -116,14 +110,12 @@ class Loss:
     """Bounded loss with a declared global sup norm.
 
     ``eval(a, b)`` must take values in ``[0, bound]`` for every real ``a``
-    and admissible label ``b``; ``partial1`` is the derivative in the first
-    slot.  The boundedness is what makes the data term of the potential, and
-    hence the convergence-rate constant, finite.
+    and admissible label ``b``.  The boundedness is what makes the data term
+    of the potential, and hence the convergence-rate constant, finite.
     """
 
     kind: str
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    partial1: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bound: float
 
 
@@ -134,17 +126,13 @@ def saturating_squared_loss() -> Loss:
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
         return -np.expm1(-0.5 * d * d)
 
-    def p1(a, b):
-        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        return d * np.exp(-0.5 * d * d)
-
-    return Loss(kind="saturating-squared", eval=ev, partial1=p1, bound=1.0)
+    return Loss(kind="saturating-squared", eval=ev, bound=1.0)
 
 
 def zero_loss() -> Loss:
     """Identically-zero loss; turns the data term off entirely."""
     zero = lambda a, b: np.zeros(np.broadcast(np.asarray(a), np.asarray(b)).shape)
-    return Loss(kind="zero", eval=zero, partial1=zero, bound=0.0)
+    return Loss(kind="zero", eval=zero, bound=0.0)
 
 
 def loss_from_config(kind: str) -> Loss:

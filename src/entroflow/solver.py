@@ -9,11 +9,23 @@ conserves the weighted mean exactly because constants are in the kernel of
 the generator.  Crank-Nicolson is available for accuracy studies but may
 undershoot zero on rough data.
 
-The inner solve is a Jacobi-preconditioned conjugate-gradient iteration.
-Preconditioning is not optional in practice: the node masses span many
-orders of magnitude between the box center and its corners, and the
-preconditioned residual test is what guarantees pointwise (not just global)
-accuracy in the far tail where the masses are tiny.
+The step system is constant, so it is prepared once per ``(operator, dt,
+scheme)`` in a :class:`Stepper`, which picks one of two backends from the
+weight itself:
+
+* fast diagonalization (Lynch, Rice & Thomas, 1964) when ``dim >= 2`` and
+  the Gibbs weight is a product over axes, as it is without a dataset.  The
+  generalized eigenproblem ``L v = mu D v`` then splits into one small dense
+  problem per axis, and a step is a diagonal scale between forward and back
+  mode products with the axis eigenbases.  The solve is exact up to
+  roundoff, in the far tail as well.
+* Jacobi-preconditioned conjugate gradients on the pre-assembled matrix
+  otherwise (1-d, and dataset weights).  Preconditioning is not optional in
+  practice: the node masses span many orders of magnitude between the box
+  center and its corners.  The preconditioned residual test bounds the
+  error in the energy norm only; in the far tail, where the masses are tiny,
+  pointwise values can be off by far more than ``linear_tol`` (about 4e-6
+  relative in ``w_min``/``w_max`` on a 41^3 Gaussian grid).
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .grid import ScalarField
+from .grid import ScalarField, WeightedOperator
 from .potential import GibbsField
 
 
@@ -80,58 +92,114 @@ def init_state(gibbs: GibbsField, w0: ScalarField) -> FlowState:
     return FlowState(t=0.0, w=ScalarField(gibbs.grid, w0.values / mass), gibbs=gibbs)
 
 
-def _pcg(mass: np.ndarray, stiff: sparse.csr_matrix, coef: float, rhs: np.ndarray,
-         x0: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
-    """Solve ``(diag(mass) + coef * stiff) x = rhs`` by preconditioned CG.
+def solver_backend(op: WeightedOperator) -> str:
+    """``"fastdiag"`` when the weight is a product over axes, else ``"pcg"``."""
+    return "pcg" if op.axis_eigenbasis is None else "fastdiag"
 
-    The matrix is symmetric positive definite; convergence is declared on the
-    Jacobi-preconditioned residual norm relative to the preconditioned norm
-    of the right-hand side.
+
+class Stepper:
+    """One time step of a fixed ``(operator, dt, scheme)``, prepared once.
+
+    ``advance`` maps the node array ``w`` to the next step's array.  Both
+    schemes read ``D w`` on the right: implicit Euler solves
+    ``(D + dt L) x = D w`` and Crank-Nicolson
+    ``(D + dt/2 L) x = (D - dt/2 L) w``.  The backend follows from the weight
+    (see :func:`solver_backend`): fast diagonalization is exact up to
+    roundoff, Jacobi PCG stops on its preconditioned residual.
     """
-    diag = mass + coef * stiff.diagonal()
-    x = x0.copy()
-    r = rhs - (mass * x + coef * (stiff @ x))
-    z = r / diag
-    rho = float(np.dot(r, z))
-    target = tol * math.sqrt(float(np.dot(rhs, rhs / diag)))
-    if math.sqrt(rho) <= target:
+
+    def __init__(self, op: WeightedOperator, dt: float, cfg: SolverConfig):
+        self.backend = solver_backend(op)
+        self.crank_nicolson = cfg.scheme == "crank-nicolson"
+        self.tol = cfg.linear_tol
+        self.max_iters = cfg.max_linear_iters
+        self.mass = op.node_mass
+        coef = 0.5 * dt if self.crank_nicolson else dt
+        if self.backend == "fastdiag":
+            self.shape = op.grid.n
+            self.forward = [v.T for _, v in op.axis_eigenbasis]
+            self.back = [v for _, v in op.axis_eigenbasis]
+            mu = op.axis_eigenbasis[0][0]
+            for mu_a, _ in op.axis_eigenbasis[1:]:
+                mu = np.add.outer(mu, mu_a)
+            # the change of each mode over one step, amplification minus one:
+            # exactly zero on the constants, so the step conserves mass
+            # however far the eigenvectors are from D-orthonormal
+            self.change = -(2.0 if self.crank_nicolson else 1.0) * coef * mu / (1.0 + coef * mu)
+        else:
+            self.system = (coef * op.stiffness + sparse.diags(self.mass)).tocsr()
+            self.diag = self.system.diagonal()
+
+    def advance(self, w: np.ndarray) -> np.ndarray:
+        """The node array one step after ``w``; warns if Crank-Nicolson undershoots zero."""
+        if self.backend == "fastdiag":
+            coeffs = self._modes((self.mass * w).reshape(self.shape), self.forward)
+            x = w + self._modes(self.change * coeffs, self.back).ravel()
+        elif self.crank_nicolson:
+            # (D - dt/2 L) w = 2 D w - A w
+            x = self._pcg(2.0 * self.mass * w - self.system @ w, w)
+        else:
+            x = self._pcg(self.mass * w, w)
+        if self.crank_nicolson and float(np.min(x)) < -10.0 * self.tol:
+            warnings.warn(
+                f"crank-nicolson step produced min(w) = {np.min(x):.3e} < 0",
+                RuntimeWarning, stacklevel=3,
+            )
         return x
-    p = z.copy()
-    for _ in range(max_iters):
-        ap = mass * p + coef * (stiff @ p)
-        alpha = rho / float(np.dot(p, ap))
-        x += alpha * p
-        r -= alpha * ap
+
+    def _modes(self, x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+        """Apply ``mats[a]`` to every fiber of ``x`` along axis ``a``."""
+        n = self.shape
+        for a, m in enumerate(mats):
+            lead = math.prod(n[:a])
+            if a == len(n) - 1:
+                x = x.reshape(lead, n[a]) @ m.T
+            else:
+                x = np.matmul(m, x.reshape(lead, n[a], -1))
+        return x.reshape(n)
+
+    def _pcg(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        """Solve ``A x = rhs`` by Jacobi-preconditioned CG.
+
+        ``A`` is symmetric positive definite; convergence is declared on the
+        preconditioned residual norm relative to the preconditioned norm of
+        the right-hand side.
+        """
+        a, diag = self.system, self.diag
+        x = x0.copy()
+        r = rhs - a @ x
         z = r / diag
-        rho_new = float(np.dot(r, z))
-        if math.sqrt(rho_new) <= target:
+        rho = float(np.dot(r, z))
+        target = self.tol * math.sqrt(float(np.dot(rhs, rhs / diag)))
+        if math.sqrt(rho) <= target:
             return x
-        p = z + (rho_new / rho) * p
-        rho = rho_new
-    raise SolverDiagnosticError(
-        f"linear solve did not converge within {max_iters} iterations",
-        residual=math.sqrt(rho),
-    )
+        p = z.copy()
+        for _ in range(self.max_iters):
+            ap = a @ p
+            alpha = rho / float(np.dot(p, ap))
+            x += alpha * p
+            r -= alpha * ap
+            z = r / diag
+            rho_new = float(np.dot(r, z))
+            if math.sqrt(rho_new) <= target:
+                return x
+            p = z + (rho_new / rho) * p
+            rho = rho_new
+        raise SolverDiagnosticError(
+            f"linear solve did not converge within {self.max_iters} iterations",
+            residual=math.sqrt(rho),
+        )
 
 
 def step(state: FlowState, cfg: SolverConfig, op=None, dt: float | None = None) -> FlowState:
-    """Advance one time step, preserving mass, positivity, and the sup bound."""
+    """Advance one time step, preserving mass, positivity, and the sup bound.
+
+    Prepares the step afresh; :func:`evolve` prepares it once for all steps.
+    """
     if op is None:
         op = state.gibbs.operator()
     h = cfg.dt if dt is None else dt
-    w = state.w.values
-    if cfg.scheme == "implicit-euler":
-        rhs = op.node_mass * w
-        coef = h
-    else:
-        rhs = op.node_mass * w - 0.5 * h * (op.stiffness @ w)
-        coef = 0.5 * h
-    w_new = _pcg(op.node_mass, op.stiffness, coef, rhs, w, cfg.linear_tol, cfg.max_linear_iters)
-    if cfg.scheme == "crank-nicolson" and float(np.min(w_new)) < -10.0 * cfg.linear_tol:
-        warnings.warn(
-            f"crank-nicolson step produced min(w) = {np.min(w_new):.3e} < 0",
-            RuntimeWarning, stacklevel=2,
-        )
+    w_new = Stepper(op, h, cfg).advance(state.w.values)
     return FlowState(t=state.t + h, w=ScalarField(state.w.grid, w_new), gibbs=state.gibbs)
 
 
@@ -153,21 +221,21 @@ def evolve(state: FlowState, cfg: SolverConfig, op=None, observer=None) -> tuple
         n_extra = 0
         remainder = 0.0
 
+    grid = state.w.grid
+    w, t = state.w, state.t
     if observer is not None:
-        observer(0.0, state.w)
-    current = state
+        observer(0.0, w)
     recorded_last = False
+    stepper = Stepper(op, cfg.dt, cfg)
     for k in range(1, n_steps + 1):
-        current = step(current, cfg, op)
-        current.t = k * cfg.dt
+        w, t = ScalarField(grid, stepper.advance(w.values)), k * cfg.dt
         recorded_last = False
         if observer is not None and k % cfg.record_every == 0:
-            observer(current.t, current.w)
+            observer(t, w)
             recorded_last = True
     if n_extra:
-        current = step(current, cfg, op, dt=remainder)
-        current.t = cfg.t_final
+        w, t = ScalarField(grid, Stepper(op, remainder, cfg).advance(w.values)), cfg.t_final
         recorded_last = False
     if observer is not None and not recorded_last and n_steps + n_extra > 0:
-        observer(current.t, current.w)
-    return current, n_steps + n_extra
+        observer(t, w)
+    return FlowState(t=t, w=w, gibbs=state.gibbs), n_steps + n_extra

@@ -52,6 +52,31 @@ def test_cli_import_skips_scipy_optimize():
     assert proc.stdout.strip() == "False"
 
 
+FAST_OU_3D = (FAST_OU.replace("grid.dim = 1", "grid.dim = 3")
+              .replace("grid.lo = [-6.0]", "grid.lo = [-6.0, -6.0, -6.0]")
+              .replace("grid.hi = [6.0]", "grid.hi = [6.0, 6.0, 6.0]")
+              .replace("grid.n = [201]", "grid.n = [15, 15, 15]")
+              .replace("solver.t_final = 0.7", "solver.t_final = 0.1")
+              .replace("initial.mean = [0.5]", "initial.mean = [0.5, 0.0, -0.5]"))
+
+
+def test_run_skips_scipy_linear_algebra(tmp_path):
+    """Both solver backends run without scipy.linalg or scipy.sparse.linalg,
+    whose import would add several MB to the peak RSS of every run."""
+    for name, text in (("ou1d.toml", FAST_OU), ("ou3d.toml", FAST_OU_3D)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from entroflow.cli import main\n"
+        "codes = [main(['--config', f'{sys.argv[1]}/{name}.toml', '--out', f'{sys.argv[1]}/{name}',\n"
+        "               'run']) for name in ('ou1d', 'ou3d')]\n"
+        "print(codes, sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))\n"
+    )
+    proc = run_python("-c", script, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
+
+
 class TestConfigParsing:
     def test_flat_values(self):
         raw = parse_config_text('a = 1\nb = 2.5\nc = "text"\nd = true\ne = [1, 2]\n# note\n')
@@ -192,6 +217,22 @@ class TestRunCommand:
         s2 = json.loads((out2 / "summary.json").read_text())
         s1.pop("wall_time_s"), s2.pop("wall_time_s")
         assert s1 == s2
+
+    def test_solver_backend_reported(self, tmp_path, capsys):
+        """A product-form weight takes fast diagonalization; a dataset weight PCG."""
+        ou3d = tmp_path / "ou3d.toml"
+        ou3d.write_text(FAST_OU_3D, encoding="utf-8")
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        atoms = tmp_path / "atoms2d.toml"
+        atoms.write_text((configs / "atoms2d.toml").read_text(encoding="utf-8")
+                         .replace('"three_atoms.csv"', repr(str(configs / "three_atoms.csv")))
+                         .replace("solver.t_final = 5.0", "solver.t_final = 0.02"),
+                         encoding="utf-8")
+        for cfg, backend in ((ou3d, "fastdiag"), (atoms, "pcg")):
+            out = tmp_path / cfg.stem
+            assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
+            assert json.loads((out / "summary.json").read_text())["solver_backend"] == backend
+            assert f"steps ({backend})" in capsys.readouterr().out
 
     def test_snapshots_written(self, tmp_path):
         cfg = tmp_path / "snap.toml"

@@ -1,24 +1,37 @@
 """Flow solver: conservation, positivity, the sup bound, and the exact oracle."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entroflow import (
+    DataPoint,
+    Dataset,
     ScalarField,
     SolverConfig,
     SolverDiagnosticError,
+    arctan_sigmoid,
     build_grid,
     build_potential,
     constant_field,
     init_state,
     integrate,
+    load_config,
     normalize_gibbs,
     ou_relative_density,
+    saturating_squared_loss,
     step,
     evolve,
 )
+from entroflow.solver import Stepper, solver_backend
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# unequal node counts and off-center boxes, so no two axes share a basis
+ANISOTROPIC = [((9, 13), (-4.0, -5.0), (5.0, 3.0)),
+               ((7, 9, 11), (-4.0, -3.0, -5.0), (3.0, 5.0, 4.0))]
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +192,76 @@ class TestThreeDimensions:
         assert abs(weighted_mass(final) - 1.0) <= 1e-8
         assert np.min(final.w.values) >= 0
         assert np.max(final.w.values) <= sup0 * (1 + 1e-10)
+
+
+def gaussian_gibbs(n, lo, hi, lam=1.0, tau=1.0):
+    g = build_grid(len(n), lo, hi, n)
+    return normalize_gibbs(build_potential(None, None, None, lam, tau, g))
+
+
+class TestFastDiagonalization:
+    @pytest.mark.filterwarnings("ignore:crank-nicolson step produced")
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    @pytest.mark.parametrize("n,lo,hi", ANISOTROPIC)
+    def test_matches_dense_solve(self, n, lo, hi, scheme):
+        """Two full steps and a remainder step against dense solves of the step system.
+
+        The random density is rough, so Crank-Nicolson undershoots zero here
+        (and warns); the comparison holds all the same.
+        """
+        gibbs = gaussian_gibbs(n, lo, hi, lam=2.0, tau=0.7)
+        op = gibbs.operator()
+        assert solver_backend(op) == "fastdiag"
+        d, stiff = op.node_mass, op.stiffness.toarray()
+        w0 = np.exp(np.random.default_rng(5).normal(size=op.grid.num_nodes))
+        cfg = SolverConfig(dt=1e-2, t_final=0.025, scheme=scheme)
+        ref = w0
+        for dt in (1e-2, 1e-2, 0.5e-2):
+            coef = dt if scheme == "implicit-euler" else 0.5 * dt
+            rhs = d * ref if scheme == "implicit-euler" else d * ref - coef * (stiff @ ref)
+            ref = np.linalg.solve(np.diag(d) + coef * stiff, rhs)
+        final, n_steps = evolve(init_state(gibbs, ScalarField(op.grid, w0)), cfg)
+        ref /= op.inner(w0, np.ones_like(w0))  # init_state scales to unit mass
+        assert n_steps == 3
+        assert np.max(np.abs(final.w.values - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_mass_drift_3d(self, scheme):
+        gibbs = gaussian_gibbs((17, 17, 17), -6.0, 6.0)
+        op = gibbs.operator()
+        state = init_state(gibbs, ou_relative_density(op.grid, 0.5, 1.0, 1.0, 0.0))
+        masses = []
+        _, n_steps = evolve(state, SolverConfig(dt=1e-2, t_final=5.0, scheme=scheme, record_every=1),
+                            observer=lambda t, w: masses.append(op.inner(w.values, np.ones_like(w.values))))
+        assert n_steps == 500
+        assert max(abs(m - 1.0) for m in masses) <= 1e-12
+
+    def test_crank_nicolson_warns_on_3d_spike(self):
+        gibbs = gaussian_gibbs((13, 13, 13), -4.0, 4.0)
+        vals = np.zeros(gibbs.grid.num_nodes)
+        vals[gibbs.grid.num_nodes // 2] = 1.0
+        state = init_state(gibbs, ScalarField(gibbs.grid, vals))
+        with pytest.warns(RuntimeWarning, match="crank-nicolson"):
+            step(state, SolverConfig(dt=0.5, t_final=1.0, scheme="crank-nicolson"))
+
+
+class TestBackendSelection:
+    @pytest.mark.parametrize("n,lo,hi", ANISOTROPIC)
+    def test_gaussian_weights_take_fast_diagonalization(self, n, lo, hi):
+        assert solver_backend(gaussian_gibbs(n, lo, hi).operator()) == "fastdiag"
+
+    def test_dataset_weight_takes_pcg(self):
+        gibbs = load_config(CONFIGS / "atoms2d.toml").build_gibbs()
+        assert solver_backend(gibbs.operator()) == "pcg"
+
+    def test_one_dimensional_weights_take_pcg(self, coarse_gibbs):
+        data = Dataset(points=(DataPoint(z=(), y=0.3, weight=1.0),))
+        g = coarse_gibbs.grid
+        with_data = build_potential(data, saturating_squared_loss(), arctan_sigmoid(), 1.0, 1.0, g)
+        for gibbs in (coarse_gibbs, with_data):
+            op = gibbs.operator()
+            assert solver_backend(op) == "pcg"
+            assert Stepper(op, 1e-2, SolverConfig(dt=1e-2, t_final=1.0)).backend == "pcg"
 
 
 class TestConfigValidation:
