@@ -74,12 +74,7 @@ def fisher(w: ScalarField, gibbs: GibbsField, gen: EntropyGenerator) -> float:
     """
     if w.grid != gibbs.grid:
         raise ValueError("density lives on a different grid")
-    op = gibbs.operator()
-    vals = w.values
-    mid = 0.5 * (vals[op.edge_i] + vals[op.edge_j])
-    dw = vals[op.edge_j] - vals[op.edge_i]
-    total = float(np.dot(gen.phi2_clamped(mid) * op.edge_cond, dw * dw))
-    return max(total, 0.0)
+    return max(gibbs.operator().edge_form(w.values, gen.phi2_clamped), 0.0)
 
 
 def snapshot(t: float, w: ScalarField, gibbs: GibbsField, gen: EntropyGenerator) -> EnergyRecord:

@@ -95,7 +95,6 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> dict:
     summary = {
         "lambda": cfg.lam,
         "tau": cfg.tau,
-        "M": gibbs.m_grid,
         "M_grid": gibbs.m_grid,
         "M_envelope": gibbs.m_envelope,
         "Z": gibbs.Z,

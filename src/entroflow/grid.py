@@ -52,10 +52,6 @@ class Grid:
     def num_nodes(self) -> int:
         return int(np.prod(self.n))
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.h))
-
     def axis_coords(self, axis: int) -> np.ndarray:
         """Node coordinates along one axis, ``lo + arange(n) * h``."""
         return self.lo[axis] + np.arange(self.n[axis]) * self.h[axis]
@@ -129,9 +125,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 def field_from_function(grid: Grid, fn) -> ScalarField:
     """Sample ``fn`` at the nodes; ``fn`` maps ``(num_nodes, dim)`` to ``(num_nodes,)``."""
@@ -142,21 +135,20 @@ def constant_field(grid: Grid, value: float) -> ScalarField:
     return ScalarField(grid, np.full(grid.num_nodes, float(value)))
 
 
-def _check_same_grid(*fields: ScalarField) -> Grid:
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise ValueError("fields live on different grids")
-    return g
-
-
 def integrate(f: ScalarField, weight: ScalarField | None = None) -> float:
     """Trapezoidal tensor-product quadrature of ``f`` (times ``weight``) over the box."""
     if weight is None:
-        g = f.grid
-        return float(np.dot(f.values, g.quad_weights))
-    g = _check_same_grid(f, weight)
-    return float(np.dot(f.values * weight.values, g.quad_weights))
+        return float(np.dot(f.values, f.grid.quad_weights))
+    if weight.grid != f.grid:
+        raise ValueError("fields live on different grids")
+    return float(np.dot(f.values * weight.values, f.grid.quad_weights))
+
+
+def _edge_ends(dim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """Index tuples of the lower and the upper node of every edge along ``axis``."""
+    lo = tuple(slice(0, -1) if b == axis else slice(None) for b in range(dim))
+    hi = tuple(slice(1, None) if b == axis else slice(None) for b in range(dim))
+    return lo, hi
 
 
 class WeightedOperator:
@@ -165,7 +157,11 @@ class WeightedOperator:
     The operator acts as ``(G w)_i = (1/m_i) * sum_edges c_e (w_j - w_i)``
     where ``m_i = gamma_i * quad_weight_i`` is the weighted node mass and
     ``c_e = sqrt(gamma_i gamma_j) * t_e / h_axis`` an edge conductance
-    (``t_e`` the transversal quadrature weight of the edge).  By construction
+    (``t_e`` the transversal quadrature weight of the edge).  The edges along
+    axis ``a`` join each node to its neighbour one step up that axis, and
+    ``axis_cond[a]`` holds their conductances in the grid's shape with axis
+    ``a`` one node shorter; the sparse ``stiffness`` matrix is assembled
+    from these arrays on first read only.  By construction
 
     * ``<G w, v> = <w, G v>`` in the inner product ``<a, b> = sum a b m``,
     * ``G 1 = 0`` exactly,
@@ -184,40 +180,31 @@ class WeightedOperator:
         self.gamma = gamma
         self.node_mass = gamma.values * grid.quad_weights
 
-        rows_i, rows_j, conds = [], [], []
         g = gamma.values.reshape(grid.n)
         qw = grid.quad_weights.reshape(grid.n)
-        idx = np.arange(grid.num_nodes).reshape(grid.n)
+        conds = []
         for axis in range(grid.dim):
-            h = grid.h[axis]
-            sl_lo = [slice(None)] * grid.dim
-            sl_hi = [slice(None)] * grid.dim
-            sl_lo[axis] = slice(0, -1)
-            sl_hi[axis] = slice(1, None)
-            i = idx[tuple(sl_lo)].ravel()
-            j = idx[tuple(sl_hi)].ravel()
+            lo, hi = _edge_ends(grid.dim, axis)
             # transversal weight: strip this axis' own trapezoid factor off
             # the lower endpoint's node weight
-            shape = [1] * grid.dim
-            shape[axis] = grid.n[axis]
-            axis_w_full = np.broadcast_to(grid.axis_weights(axis).reshape(shape), grid.n)
-            t = qw[tuple(sl_lo)].ravel() / axis_w_full[tuple(sl_lo)].ravel()
-            c = np.sqrt(g[tuple(sl_lo)].ravel() * g[tuple(sl_hi)].ravel()) * t / h
-            rows_i.append(i)
-            rows_j.append(j)
-            conds.append(c)
+            shape = [-1 if b == axis else 1 for b in range(grid.dim)]
+            t = qw[lo] / grid.axis_weights(axis)[:-1].reshape(shape)
+            conds.append(np.sqrt(g[lo] * g[hi]) * t / grid.h[axis])
+        self.axis_cond = tuple(conds)
 
-        self.edge_i = np.concatenate(rows_i)
-        self.edge_j = np.concatenate(rows_j)
-        self.edge_cond = np.concatenate(conds)
-
-        n = grid.num_nodes
-        i, j, c = self.edge_i, self.edge_j, self.edge_cond
+    @cached_property
+    def stiffness(self) -> sparse.csr_matrix:
+        """Stiffness matrix of the edge form: ``w^T L w = edge_form(w)``."""
+        grid = self.grid
+        idx = np.arange(grid.num_nodes).reshape(grid.n)
+        ends = [_edge_ends(grid.dim, axis) for axis in range(grid.dim)]
+        i = np.concatenate([idx[lo].ravel() for lo, _ in ends])
+        j = np.concatenate([idx[hi].ravel() for _, hi in ends])
+        c = np.concatenate([cond.ravel() for cond in self.axis_cond])
         rows = np.concatenate([i, j, i, j])
         cols = np.concatenate([i, j, j, i])
         vals = np.concatenate([c, c, -c, -c])
-        # stiffness matrix of the edge form: w^T L v = sum_e c_e (w_j-w_i)(v_j-v_i)
-        self.stiffness = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(grid.num_nodes,) * 2)
 
     @cached_property
     def axis_eigenbasis(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
@@ -270,11 +257,20 @@ class WeightedOperator:
         """Weighted inner product ``sum_i a_i b_i gamma_i quad_weight_i``."""
         return float(np.dot(a * b, self.node_mass))
 
-    def edge_form(self, w: np.ndarray, v: np.ndarray) -> float:
-        """Edge bilinear form ``sum_e c_e (w_j - w_i)(v_j - v_i)``; equals ``<-G w, v>``."""
-        dw = w[self.edge_j] - w[self.edge_i]
-        dv = v[self.edge_j] - v[self.edge_i]
-        return float(np.dot(self.edge_cond * dw, dv))
+    def edge_form(self, w: np.ndarray, phi2=None) -> float:
+        """Edge quadrature ``sum_e phi2(mid_e) c_e (w_j - w_i)^2``, ``mid_e`` the endpoints' mean.
+
+        Without ``phi2`` (taken as 1) it equals ``<-G w, w>``.
+        """
+        w = w.reshape(self.grid.n)
+        total = 0.0
+        for axis, cond in enumerate(self.axis_cond):
+            lo, hi = _edge_ends(self.grid.dim, axis)
+            dw = w[hi] - w[lo]
+            if phi2 is not None:
+                cond = phi2(0.5 * (w[lo] + w[hi])) * cond
+            total += float(np.vdot(cond, dw * dw))
+        return total
 
 
 def field_to_csv(f: ScalarField, path) -> None:

@@ -46,12 +46,14 @@ class CheckResult:
 
 def _smooth_density(gibbs, rng, roughness=0.6, modes=4) -> ScalarField:
     g = gibbs.grid
-    field = np.zeros(g.num_nodes)
+    field = np.zeros(g.n)
     for a in range(g.dim):
-        x = (g.nodes[:, a] - g.lo[a]) / (g.hi[a] - g.lo[a])
+        # each cosine depends on one coordinate: evaluate on the axis, broadcast
+        x = (g.axis_coords(a) - g.lo[a]) / (g.hi[a] - g.lo[a])
+        x = x.reshape([-1 if b == a else 1 for b in range(g.dim)])
         for k in range(1, modes + 1):
             field += roughness * rng.normal() / k * np.cos(math.pi * k * x)
-    w = np.exp(field)
+    w = np.exp(field).ravel()
     mass = gibbs.operator().inner(w, np.ones_like(w))
     return ScalarField(g, w / mass)
 

@@ -77,6 +77,23 @@ def test_run_skips_scipy_linear_algebra(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
 
 
+def test_benchmark_trace_hooks(tmp_path):
+    """The benchmark's layer tracer still finds the functions it wraps and reads."""
+    cfg = tmp_path / "ou9.toml"
+    cfg.write_text(FAST_OU_3D.replace("grid.n = [15, 15, 15]", "grid.n = [9, 9, 9]"),
+                   encoding="utf-8")
+    spans = tmp_path / "spans.json"
+    child = Path(__file__).resolve().parents[1] / "benchmarks" / "child.py"
+    proc = run_python(str(child), "trace", str(spans), "id",
+                      "--config", str(cfg), "--out", str(tmp_path / "out"), "run")
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(spans.read_text())
+    names = {s["name"] for s in trace["spans"]}
+    assert {"grid.operator", "solver.evolve", "analysis.snapshot"} <= names
+    # 9^3 nodes plus two entries for each of the 3 * 8 * 9^2 edges
+    assert trace["counts"]["grid.nnz"] == 4617
+
+
 class TestConfigParsing:
     def test_flat_values(self):
         raw = parse_config_text('a = 1\nb = 2.5\nc = "text"\nd = true\ne = [1, 2]\n# note\n')
@@ -168,6 +185,7 @@ class TestRunCommand:
         assert summary["lambda_theory"] == 2.0
         assert summary["fitted_rate"] == pytest.approx(2.0, rel=0.05)
         assert summary["steps"] == 350
+        assert "M" not in summary and "M_grid" in summary
 
     def test_missing_config_is_exit_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.toml"), "run"]) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entroflow import (
+    GibbsField,
     ScalarField,
     WeightedOperator,
     build_grid,
@@ -13,7 +14,9 @@ from entroflow import (
     field_from_csv,
     field_from_function,
     field_to_csv,
+    fisher,
     integrate,
+    make_tsallis,
 )
 
 
@@ -27,10 +30,9 @@ class TestBuildGrid:
         g = build_grid(2, (-1, -1), (1, 1), (5, 5))
         assert g.num_nodes == 25
 
-    def test_3d_cell_volume(self):
+    def test_3d_node_count(self):
         g = build_grid(3, -1, 1, 3)
         assert g.num_nodes == 27
-        np.testing.assert_allclose(g.cell_volume, g.h[0] ** 3)
 
     def test_coords_bit_reproducible(self):
         g = build_grid(1, -3.7, 2.2, 41)
@@ -150,7 +152,7 @@ class TestWeightedOperator:
             w -= w.mean()
             if np.max(np.abs(w)) < 1e-12:
                 continue
-            assert op.edge_form(w, w) > 1e-10
+            assert op.edge_form(w) > 1e-10
 
     def test_symmetry_in_weighted_inner_product(self):
         g = build_grid(1, -1, 1, 17)
@@ -186,7 +188,14 @@ class TestWeightedOperator:
         v = rng.normal(size=g.num_nodes)
         brute = _edge_form_bruteforce(g, gamma.values, w, v)
         np.testing.assert_allclose(op.inner(-op.apply(w), v), brute, rtol=1e-11)
-        np.testing.assert_allclose(op.edge_form(w, v), brute, rtol=1e-11)
+        brute_ww = _edge_form_bruteforce(g, gamma.values, w, w)
+        np.testing.assert_allclose(op.edge_form(w), brute_ww, rtol=1e-11)
+        # Tsallis q = 2, tau = 1/2 has phi'' = 1, so the Fisher term is the edge form
+        tau = 0.5
+        gibbs = GibbsField(grid=g, V=ScalarField(g, -tau * np.log(gamma.values)), gamma=gamma,
+                           Z=1.0, Z_raw=1.0, m_grid=0.0, m_envelope=0.0, lam=1.0, tau=tau)
+        f = fisher(ScalarField(g, w), gibbs, make_tsallis(2.0, tau))
+        np.testing.assert_allclose(f, brute_ww, rtol=1e-11)
 
     def test_rejects_nonpositive_gamma(self):
         g = build_grid(1, 0, 1, 5)

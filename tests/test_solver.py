@@ -16,9 +16,11 @@ from entroflow import (
     build_grid,
     build_potential,
     constant_field,
+    fisher,
     init_state,
     integrate,
     load_config,
+    make_shannon,
     normalize_gibbs,
     ou_relative_density,
     saturating_squared_loss,
@@ -253,6 +255,23 @@ class TestBackendSelection:
     def test_dataset_weight_takes_pcg(self):
         gibbs = load_config(CONFIGS / "atoms2d.toml").build_gibbs()
         assert solver_backend(gibbs.operator()) == "pcg"
+
+    def test_stiffness_assembled_only_for_pcg(self):
+        """Fast diagonalization never reads the sparse matrix; PCG assembles it once."""
+        gibbs = gaussian_gibbs((7, 9, 11), (-4.0, -3.0, -5.0), (3.0, 5.0, 4.0))
+        op = gibbs.operator()
+        state = init_state(gibbs, ou_relative_density(op.grid, 0.5, 1.0, 1.0, 0.0))
+        evolve(state, SolverConfig(dt=1e-2, t_final=0.05, record_every=1),
+               observer=lambda t, w: fisher(w, gibbs, make_shannon(1.0)))
+        assert "stiffness" not in vars(op)
+
+        gibbs = load_config(CONFIGS / "atoms2d.toml").build_gibbs()
+        op = gibbs.operator()
+        w0 = constant_field(op.grid, 1.0)
+        evolve(init_state(gibbs, w0), SolverConfig(dt=1e-3, t_final=2e-3))
+        n = op.grid.n
+        edges = (n[0] - 1) * n[1] + n[0] * (n[1] - 1)
+        assert op.stiffness.nnz == op.grid.num_nodes + 2 * edges
 
     def test_one_dimensional_weights_take_pcg(self, coarse_gibbs):
         data = Dataset(points=(DataPoint(z=(), y=0.3, weight=1.0),))

@@ -1,10 +1,13 @@
 """The verification suite as a library: coverage of the dataset-backed checks."""
 
+import math
+
 import numpy as np
 import pytest
 
+from entroflow import build_grid, build_potential, normalize_gibbs
 from entroflow.config import resolve_config
-from entroflow.verify import run_verification
+from entroflow.verify import _smooth_density, run_verification
 
 
 @pytest.fixture
@@ -37,3 +40,19 @@ def test_dataset_checks_present_and_passing(atoms_config):
 def test_margins_are_finite(atoms_config):
     for result in run_verification(atoms_config):
         assert np.isfinite(result.margin)
+
+
+def test_smooth_density_matches_per_node_formula():
+    """Cosines evaluated per axis and broadcast give exactly the per-node densities."""
+    g = build_grid(3, (-4.0, -3.0, -5.0), (3.0, 5.0, 4.0), (5, 6, 7))
+    gibbs = normalize_gibbs(build_potential(None, None, None, 1.0, 1.0, g))
+    rng = np.random.default_rng(17)
+    field = np.zeros(g.num_nodes)
+    for a in range(g.dim):
+        x = (g.nodes[:, a] - g.lo[a]) / (g.hi[a] - g.lo[a])
+        for k in range(1, 5):
+            field += 0.6 * rng.normal() / k * np.cos(math.pi * k * x)
+    w = np.exp(field)
+    expected = w / gibbs.operator().inner(w, np.ones_like(w))
+    got = _smooth_density(gibbs, np.random.default_rng(17))
+    assert np.all(got.values == expected)
