@@ -65,6 +65,6 @@ from .potential import (
     default_box,
     normalize_gibbs,
 )
-from .solver import FlowState, SolverConfig, SolverDiagnosticError, evolve, init_state, step
+from .solver import FlowState, SolverConfig, SolverDiagnosticError, evolve, init_state
 
 __version__ = "0.1.0"

@@ -197,9 +197,14 @@ class RunConfig:
             if not path.exists():
                 raise ConfigError(f"initial density file not found: {path}")
             try:
-                return field_from_csv(grid, path)
+                w0 = field_from_csv(grid, path)
             except ValueError as exc:
                 raise ConfigError(f"initial density file: {exc}") from exc
+            mass = gibbs.operator().inner(w0.values, np.ones_like(w0.values))
+            if np.any(w0.values < 0) or not mass > 0:
+                raise ConfigError(f"initial density file {path}: values must be nonnegative "
+                                  f"with positive weighted mass")
+            return w0
         raise ConfigError(f"unknown initial density kind {self.initial_kind!r}")
 
 

@@ -13,11 +13,11 @@ conservation properties of the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 
 def _as_tuple(value, dim: int, name: str) -> tuple[float, ...]:
@@ -144,24 +144,23 @@ def integrate(f: ScalarField, weight: ScalarField | None = None) -> float:
     return float(np.dot(f.values * weight.values, f.grid.quad_weights))
 
 
-def _edge_ends(dim: int, axis: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-    """Index tuples of the lower and the upper node of every edge along ``axis``."""
-    lo = tuple(slice(0, -1) if b == axis else slice(None) for b in range(dim))
-    hi = tuple(slice(1, None) if b == axis else slice(None) for b in range(dim))
-    return lo, hi
-
-
 class WeightedOperator:
     """Discrete generator ``G`` of the weighted diffusion, plus its inner product.
 
     The operator acts as ``(G w)_i = (1/m_i) * sum_edges c_e (w_j - w_i)``
     where ``m_i = gamma_i * quad_weight_i`` is the weighted node mass and
     ``c_e = sqrt(gamma_i gamma_j) * t_e / h_axis`` an edge conductance
-    (``t_e`` the transversal quadrature weight of the edge).  The edges along
-    axis ``a`` join each node to its neighbour one step up that axis, and
-    ``axis_cond[a]`` holds their conductances in the grid's shape with axis
-    ``a`` one node shorter; the sparse ``stiffness`` matrix is assembled
-    from these arrays on first read only.  By construction
+    (``t_e`` the transversal quadrature weight of the edge).  This class is
+    the only code that knows the edge layout.  The edges along axis ``a``
+    join each flat node index ``k`` to ``k + s_a``, with ``s_a = strides[a]``
+    the axis' C-order stride, and ``axis_cond[a]`` holds their conductances
+    flat, one entry per ``k < num_nodes - s_a``: zero where node ``k`` lies
+    on the upper face of axis ``a`` and so has no neighbour ``k + s_a``.
+    Every edge sum then runs over the contiguous slices ``w[:-s_a]`` and
+    ``w[s_a:]``.  ``apply_stiffness`` gives ``L w`` and ``stiffness_diagonal``
+    the diagonal of ``L`` from these arrays; the sparse ``stiffness`` matrix
+    is a reference only, assembled (with ``scipy.sparse``) on first read.
+    By construction
 
     * ``<G w, v> = <w, G v>`` in the inner product ``<a, b> = sum a b m``,
     * ``G 1 = 0`` exactly,
@@ -179,32 +178,64 @@ class WeightedOperator:
         self.grid = grid
         self.gamma = gamma
         self.node_mass = gamma.values * grid.quad_weights
+        self.strides = tuple(math.prod(grid.n[a + 1:]) for a in range(grid.dim))
 
-        g = gamma.values.reshape(grid.n)
-        qw = grid.quad_weights.reshape(grid.n)
+        g, qw = gamma.values, grid.quad_weights
         conds = []
-        for axis in range(grid.dim):
-            lo, hi = _edge_ends(grid.dim, axis)
+        for axis, s in enumerate(self.strides):
+            pos = self._axis_index(axis)
             # transversal weight: strip this axis' own trapezoid factor off
             # the lower endpoint's node weight
-            shape = [-1 if b == axis else 1 for b in range(grid.dim)]
-            t = qw[lo] / grid.axis_weights(axis)[:-1].reshape(shape)
-            conds.append(np.sqrt(g[lo] * g[hi]) * t / grid.h[axis])
+            t = qw[:-s] / grid.axis_weights(axis)[pos]
+            cond = np.sqrt(g[:-s] * g[s:]) * t / grid.h[axis]
+            cond[pos == grid.n[axis] - 1] = 0.0
+            conds.append(cond)
         self.axis_cond = tuple(conds)
 
+    def _axis_index(self, axis: int) -> np.ndarray:
+        """Index along ``axis`` of each lower edge end ``k < num_nodes - strides[axis]``."""
+        s = self.strides[axis]
+        return np.arange(self.grid.num_nodes - s) // s % self.grid.n[axis]
+
     @cached_property
-    def stiffness(self) -> sparse.csr_matrix:
-        """Stiffness matrix of the edge form: ``w^T L w = edge_form(w)``."""
+    def stiffness(self):
+        """Reference ``scipy.sparse`` CSR matrix of ``L``: ``w^T L w = edge_form(w)``.
+
+        Tests compare ``apply_stiffness`` with it; no solver path reads it.
+        """
+        from scipy import sparse
+
         grid = self.grid
-        idx = np.arange(grid.num_nodes).reshape(grid.n)
-        ends = [_edge_ends(grid.dim, axis) for axis in range(grid.dim)]
-        i = np.concatenate([idx[lo].ravel() for lo, _ in ends])
-        j = np.concatenate([idx[hi].ravel() for _, hi in ends])
-        c = np.concatenate([cond.ravel() for cond in self.axis_cond])
+        ends = [np.flatnonzero(self._axis_index(a) < grid.n[a] - 1) for a in range(grid.dim)]
+        i = np.concatenate(ends)
+        j = np.concatenate([k + s for k, s in zip(ends, self.strides)])
+        c = np.concatenate([cond[k] for k, cond in zip(ends, self.axis_cond)])
         rows = np.concatenate([i, j, i, j])
         cols = np.concatenate([i, j, j, i])
         vals = np.concatenate([c, c, -c, -c])
         return sparse.csr_matrix((vals, (rows, cols)), shape=(grid.num_nodes,) * 2)
+
+    @cached_property
+    def stiffness_diagonal(self) -> np.ndarray:
+        """Diagonal of ``L``: the summed conductances of each node's edges."""
+        diag = np.zeros(self.grid.num_nodes)
+        for s, cond in zip(self.strides, self.axis_cond):
+            diag[:-s] += cond
+            diag[s:] += cond
+        return diag
+
+    def apply_stiffness(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``L w`` edge by edge, added onto ``out`` in place when it is given.
+
+        Each edge's flux ``c_e (w_j - w_i)`` is subtracted at ``i`` and added at ``j``.
+        """
+        out = np.zeros_like(w) if out is None else out
+        for s, cond in zip(self.strides, self.axis_cond):
+            flux = w[s:] - w[:-s]
+            flux *= cond
+            out[:-s] -= flux
+            out[s:] += flux
+        return out
 
     @cached_property
     def axis_eigenbasis(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
@@ -251,7 +282,7 @@ class WeightedOperator:
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Apply the generator: ``G w = -(L w) / m``."""
-        return -(self.stiffness @ w) / self.node_mass
+        return -self.apply_stiffness(w) / self.node_mass
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """Weighted inner product ``sum_i a_i b_i gamma_i quad_weight_i``."""
@@ -262,13 +293,11 @@ class WeightedOperator:
 
         Without ``phi2`` (taken as 1) it equals ``<-G w, w>``.
         """
-        w = w.reshape(self.grid.n)
         total = 0.0
-        for axis, cond in enumerate(self.axis_cond):
-            lo, hi = _edge_ends(self.grid.dim, axis)
-            dw = w[hi] - w[lo]
+        for s, cond in zip(self.strides, self.axis_cond):
+            dw = w[s:] - w[:-s]
             if phi2 is not None:
-                cond = phi2(0.5 * (w[lo] + w[hi])) * cond
+                cond = phi2(0.5 * (w[:-s] + w[s:])) * cond
             total += float(np.vdot(cond, dw * dw))
         return total
 

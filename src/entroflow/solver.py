@@ -19,13 +19,16 @@ weight itself:
   problem per axis, and a step is a diagonal scale between forward and back
   mode products with the axis eigenbases.  The solve is exact up to
   roundoff, in the far tail as well.
-* Jacobi-preconditioned conjugate gradients on the pre-assembled matrix
-  otherwise (1-d, and dataset weights).  Preconditioning is not optional in
-  practice: the node masses span many orders of magnitude between the box
-  center and its corners.  The preconditioned residual test bounds the
-  error in the energy norm only; in the far tail, where the masses are tiny,
-  pointwise values can be off by far more than ``linear_tol`` (about 4e-6
-  relative in ``w_min``/``w_max`` on a 41^3 Gaussian grid).
+* Jacobi-preconditioned conjugate gradients otherwise (1-d, and dataset
+  weights).  No matrix is built: each product ``(D + coef L) p`` applies
+  ``L`` edge by edge through :meth:`WeightedOperator.apply_stiffness`, and
+  the Jacobi diagonal comes from :attr:`WeightedOperator.stiffness_diagonal`.
+  Preconditioning is not optional in practice: the node masses span many
+  orders of magnitude between the box center and its corners.  The
+  preconditioned residual test bounds the error in the energy norm only; in
+  the far tail, where the masses are tiny, pointwise values can be off by
+  far more than ``linear_tol`` (about 4e-6 relative in ``w_min``/``w_max``
+  on a 41^3 Gaussian grid).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .grid import ScalarField, WeightedOperator
 from .potential import GibbsField
@@ -114,7 +116,7 @@ class Stepper:
         self.tol = cfg.linear_tol
         self.max_iters = cfg.max_linear_iters
         self.mass = op.node_mass
-        coef = 0.5 * dt if self.crank_nicolson else dt
+        self.coef = coef = 0.5 * dt if self.crank_nicolson else dt
         if self.backend == "fastdiag":
             self.shape = op.grid.n
             self.forward = [v.T for _, v in op.axis_eigenbasis]
@@ -127,19 +129,19 @@ class Stepper:
             # however far the eigenvectors are from D-orthonormal
             self.change = -(2.0 if self.crank_nicolson else 1.0) * coef * mu / (1.0 + coef * mu)
         else:
-            self.system = (coef * op.stiffness + sparse.diags(self.mass)).tocsr()
-            self.diag = self.system.diagonal()
+            self.op = op
+            self.mass_per_coef = self.mass / coef
+            # b, r, z, p and A p, written in place by _pcg
+            self.buffers = [np.empty_like(self.mass) for _ in range(5)]
+            self.diag = coef * op.stiffness_diagonal + self.mass
 
     def advance(self, w: np.ndarray) -> np.ndarray:
         """The node array one step after ``w``; warns if Crank-Nicolson undershoots zero."""
         if self.backend == "fastdiag":
             coeffs = self._modes((self.mass * w).reshape(self.shape), self.forward)
             x = w + self._modes(self.change * coeffs, self.back).ravel()
-        elif self.crank_nicolson:
-            # (D - dt/2 L) w = 2 D w - A w
-            x = self._pcg(2.0 * self.mass * w - self.system @ w, w)
         else:
-            x = self._pcg(self.mass * w, w)
+            x = self._pcg(w)
         if self.crank_nicolson and float(np.min(x)) < -10.0 * self.tol:
             warnings.warn(
                 f"crank-nicolson step produced min(w) = {np.min(x):.3e} < 0",
@@ -158,32 +160,49 @@ class Stepper:
                 x = np.matmul(m, x.reshape(lead, n[a], -1))
         return x.reshape(n)
 
-    def _pcg(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        """Solve ``A x = rhs`` by Jacobi-preconditioned CG.
+    def _system(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``A x = coef (L x + D x / coef)`` into ``out``, with ``L x`` applied edge by edge."""
+        np.multiply(self.mass_per_coef, x, out=out)
+        self.op.apply_stiffness(x, out=out)
+        out *= self.coef
+        return out
 
-        ``A`` is symmetric positive definite; convergence is declared on the
-        preconditioned residual norm relative to the preconditioned norm of
-        the right-hand side.
+    def _pcg(self, w: np.ndarray) -> np.ndarray:
+        """Solve the step system ``A x = b`` by Jacobi-preconditioned CG from ``x = w``.
+
+        ``b`` is ``D w`` for implicit Euler and ``(D - dt/2 L) w = 2 D w - A w``
+        for Crank-Nicolson.  ``A`` is symmetric positive definite;
+        convergence is declared on the preconditioned residual norm relative
+        to the preconditioned norm of ``b``.  ``b``, ``r``, ``z``, ``p`` and
+        ``A p`` live in ``buffers``, prepared once: as fresh arrays on every
+        solve, they made the C heap shrink and regrow, at about 100 page
+        faults per step on a 101^2 grid.
         """
-        a, diag = self.system, self.diag
-        x = x0.copy()
-        r = rhs - a @ x
-        z = r / diag
+        b, r, z, p, ap = self.buffers
+        diag = self.diag
+        np.multiply(self.mass, w, out=b)
+        if self.crank_nicolson:
+            b *= 2.0
+            b -= self._system(w, ap)
+        x = w.copy()
+        np.subtract(b, self._system(x, ap), out=r)
+        target = self.tol * math.sqrt(float(np.dot(b, np.divide(b, diag, out=z))))
+        np.divide(r, diag, out=z)
         rho = float(np.dot(r, z))
-        target = self.tol * math.sqrt(float(np.dot(rhs, rhs / diag)))
         if math.sqrt(rho) <= target:
             return x
-        p = z.copy()
+        p[:] = z
         for _ in range(self.max_iters):
-            ap = a @ p
+            self._system(p, ap)
             alpha = rho / float(np.dot(p, ap))
             x += alpha * p
             r -= alpha * ap
-            z = r / diag
+            np.divide(r, diag, out=z)
             rho_new = float(np.dot(r, z))
             if math.sqrt(rho_new) <= target:
                 return x
-            p = z + (rho_new / rho) * p
+            p *= rho_new / rho
+            p += z
             rho = rho_new
         raise SolverDiagnosticError(
             f"linear solve did not converge within {self.max_iters} iterations",
@@ -191,19 +210,7 @@ class Stepper:
         )
 
 
-def step(state: FlowState, cfg: SolverConfig, op=None, dt: float | None = None) -> FlowState:
-    """Advance one time step, preserving mass, positivity, and the sup bound.
-
-    Prepares the step afresh; :func:`evolve` prepares it once for all steps.
-    """
-    if op is None:
-        op = state.gibbs.operator()
-    h = cfg.dt if dt is None else dt
-    w_new = Stepper(op, h, cfg).advance(state.w.values)
-    return FlowState(t=state.t + h, w=ScalarField(state.w.grid, w_new), gibbs=state.gibbs)
-
-
-def evolve(state: FlowState, cfg: SolverConfig, op=None, observer=None) -> tuple[FlowState, int]:
+def evolve(state: FlowState, cfg: SolverConfig, observer=None) -> tuple[FlowState, int]:
     """Run the flow to ``t_final``, reporting to ``observer`` along the way.
 
     The observer is called with ``(t, w)`` at time 0, after every
@@ -211,8 +218,7 @@ def evolve(state: FlowState, cfg: SolverConfig, op=None, observer=None) -> tuple
     step count is a multiple of the cadence).  Returns the final state and
     the number of steps taken.
     """
-    if op is None:
-        op = state.gibbs.operator()
+    op = state.gibbs.operator()
     n_steps = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
     remainder = cfg.t_final - n_steps * cfg.dt
     if remainder > 1e-9 * cfg.dt:

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entroflow
+from entroflow import ScalarField, build_grid, field_to_csv
 from entroflow.cli import main, read_timeseries
 from entroflow.config import ConfigError, load_config, parse_config_text
 
@@ -61,20 +63,30 @@ FAST_OU_3D = (FAST_OU.replace("grid.dim = 1", "grid.dim = 3")
 
 
 def test_run_skips_scipy_linear_algebra(tmp_path):
-    """Both solver backends run without scipy.linalg or scipy.sparse.linalg,
-    whose import would add several MB to the peak RSS of every run."""
-    for name, text in (("ou1d.toml", FAST_OU), ("ou3d.toml", FAST_OU_3D)):
+    """No scipy module is loaded by the CLI import, nor by run and verify on
+    either solver backend: a 1-d and a 2-d dataset config take PCG, a 3-d OU
+    config fast diagonalization.  Importing scipy.sparse and scipy.special
+    about doubled the start-up time and the peak RSS of a 1-d run."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    atoms = ((configs / "atoms2d.toml").read_text(encoding="utf-8")
+             .replace('"three_atoms.csv"', repr(str(configs / "three_atoms.csv")))
+             .replace("solver.t_final = 5.0", "solver.t_final = 0.02"))
+    for name, text in (("ou1d.toml", FAST_OU), ("atoms2d.toml", atoms), ("ou3d.toml", FAST_OU_3D)):
         (tmp_path / name).write_text(text, encoding="utf-8")
     script = (
         "import sys\n"
         "from entroflow.cli import main\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "codes = [main(['--config', f'{sys.argv[1]}/{name}.toml', '--out', f'{sys.argv[1]}/{name}',\n"
-        "               'run']) for name in ('ou1d', 'ou3d')]\n"
-        "print(codes, sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))\n"
+        "               command]) for name in ('ou1d', 'atoms2d', 'ou3d') for command in ('run', 'verify')]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = run_python("-c", script, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    # verify on the coarse 15^3 grid fails energy.sobolev_ratio_bound (exit 1)
+    assert lines[-1] == "[0, 0, 0, 0, 0, 1] []"
 
 
 def test_benchmark_trace_hooks(tmp_path):
@@ -215,6 +227,31 @@ class TestRunCommand:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "Traceback" not in proc.stderr
         assert "underflows" in lines[0] and "tau = 0.01" in lines[0] and "[-6, 6]" in lines[0]
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("values", ["negative", "zeros"])
+    def test_bad_initial_density_file_is_exit_2(self, tmp_path, capsys, command, values):
+        """A from-file density with a negative entry, or all zeros, is a config error."""
+        cfg = tmp_path / "from_file.toml"
+        cfg.write_text(FAST_OU.replace('initial.kind = "gaussian"', 'initial.kind = "from-file"')
+                       + 'initial.path = "w0.csv"\n', encoding="utf-8")
+        w0 = np.zeros(201) if values == "zeros" else np.where(np.arange(201) == 100, -1e-3, 1.0)
+        field_to_csv(ScalarField(build_grid(1, -6.0, 6.0, 201), w0), tmp_path / "w0.csv")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: initial density file")
+
+    def test_verify_at_small_tau_has_no_traceback(self, tmp_path):
+        """At tau = 0.01 the conjugate maximizer e^(r/tau) passes 2^200 and |phi*| 1e171."""
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        cfg = tmp_path / "cold.toml"
+        cfg.write_text("".join(line for line in (configs / "ou_shannon.toml").open(encoding="utf-8")
+                               if not line.startswith(("grid.lo", "grid.hi", "tau ")))
+                       + "tau = 0.01\n", encoding="utf-8")
+        proc = run_python("-m", "entroflow.cli", "--config", str(cfg),
+                          "--out", str(tmp_path / "o"), "verify")
+        assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr
+        assert "conjugate_closed_form" in proc.stdout
 
     def test_solver_failure_is_exit_3(self, tmp_path):
         # an enormous step with a single allowed iteration cannot converge

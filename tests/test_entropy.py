@@ -1,5 +1,6 @@
 """Entropy generators: closed forms, chord-slope split, conjugates, assumptions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from entroflow import (
     make_tsallis,
     psi_decompose,
 )
+from entroflow.verify import conjugate_check
 
 
 def conjugate_bruteforce(gen, r, s_max=100.0, n=2_000_001):
@@ -141,6 +143,18 @@ class TestLegendreConjugate:
         with pytest.raises(ValueError):
             legendre_conjugate(make_shannon(1.0), math.inf)
 
+    def test_maximizer_beyond_two_to_the_200(self):
+        """At tau = 0.01 the maximizer e^(r/tau) = e^150 is about 2^216."""
+        value = legendre_conjugate(make_shannon(0.01), 1.5)
+        assert value == pytest.approx(0.01 * math.expm1(150.0), rel=1e-12)
+
+    def test_closed_form_check_scales_with_the_conjugate(self):
+        """Near |phi*| = 5e171 a float resolves 1e156, not the absolute 1e-8."""
+        gen = make_shannon(0.01)
+        assert conjugate_check(gen).passed
+        off = dataclasses.replace(gen, conjugate=lambda r: gen.conjugate(r) * (1.0 + 1e-9))
+        assert not conjugate_check(off).passed
+
 
 class TestAssumptionChecks:
     def test_shannon_passes_with_note(self):
@@ -148,8 +162,10 @@ class TestAssumptionChecks:
         assert report.all_passed
         assert any("unbounded near 0" in note for note in report.notes)
 
-    def test_tsallis_passes(self):
-        report = check_assumptions(make_tsallis(2.0, 1.0))
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 5.0])
+    def test_tsallis_passes(self, q):
+        """At q = 5 the unscaled second divided differences reached -8.2e-12 by roundoff."""
+        report = check_assumptions(make_tsallis(q, 1.0))
         assert report.all_passed
 
     def test_nonconvex_probe_fails_positivity_and_convexity(self):

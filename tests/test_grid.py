@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from entroflow import (
+    DataPoint,
+    Dataset,
     GibbsField,
     ScalarField,
     WeightedOperator,
+    arctan_sigmoid,
     build_grid,
+    build_potential,
     constant_field,
     field_from_csv,
     field_from_function,
@@ -17,6 +21,7 @@ from entroflow import (
     fisher,
     integrate,
     make_tsallis,
+    saturating_squared_loss,
 )
 
 
@@ -196,6 +201,17 @@ class TestWeightedOperator:
                            Z=1.0, Z_raw=1.0, m_grid=0.0, m_envelope=0.0, lam=1.0, tau=tau)
         f = fisher(ScalarField(g, w), gibbs, make_tsallis(2.0, tau))
         np.testing.assert_allclose(f, brute_ww, rtol=1e-11)
+        # edge-by-edge L w and Jacobi diagonal against the assembled reference,
+        # with this random, a Gaussian and a dataset weight
+        data = Dataset(points=(DataPoint(z=(0.3,) * (dim - 1), y=0.6, weight=0.2),))
+        for weight in (gamma, build_potential(None, None, None, 1.5, 0.7, g).gamma,
+                       build_potential(data, saturating_squared_loss(), arctan_sigmoid(),
+                                       1.5, 0.7, g).gamma):
+            op_w = WeightedOperator(g, weight)
+            ref = op_w.stiffness
+            roundoff_scale = abs(ref) @ np.abs(w)
+            assert np.all(np.abs(op_w.apply_stiffness(w) - ref @ w) <= 1e-13 * roundoff_scale)
+            np.testing.assert_allclose(op_w.stiffness_diagonal, ref.diagonal(), rtol=1e-13)
 
     def test_rejects_nonpositive_gamma(self):
         g = build_grid(1, 0, 1, 5)

@@ -9,6 +9,7 @@ import pytest
 from entroflow import (
     DataPoint,
     Dataset,
+    GibbsField,
     ScalarField,
     SolverConfig,
     SolverDiagnosticError,
@@ -23,11 +24,12 @@ from entroflow import (
     make_shannon,
     normalize_gibbs,
     ou_relative_density,
+    resolve_config,
     saturating_squared_loss,
-    step,
     evolve,
 )
 from entroflow.solver import Stepper, solver_backend
+from entroflow.verify import run_verification
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -79,17 +81,17 @@ class TestStep:
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_equilibrium_is_stationary(self, coarse_gibbs, scheme):
         """The unit density is a fixed point: constants are in the kernel."""
-        cfg = SolverConfig(dt=1e-2, t_final=1.0, scheme=scheme)
+        cfg = SolverConfig(dt=1e-2, t_final=0.05, scheme=scheme)
         state = init_state(coarse_gibbs, constant_field(coarse_gibbs.grid, 1.0))
-        for _ in range(5):
-            state = step(state, cfg)
+        state, n = evolve(state, cfg)
+        assert n == 5
         np.testing.assert_allclose(state.w.values, 1.0, rtol=0, atol=1e-12)
 
     def test_mass_conserved_over_thousand_steps(self, coarse_gibbs):
         cfg = SolverConfig(dt=1e-3, t_final=1.0)
         state = init_state(coarse_gibbs, ou_relative_density(coarse_gibbs.grid, 0.5, 1.0, 1.0, 0.0))
-        for _ in range(1000):
-            state = step(state, cfg)
+        state, n = evolve(state, cfg)
+        assert n == 1000
         assert abs(weighted_mass(state) - 1.0) <= 1e-8
 
     def test_positivity_and_sup_bound(self, coarse_gibbs):
@@ -97,13 +99,15 @@ class TestStep:
         rng = np.random.default_rng(19)
         bumps = np.exp(rng.normal(scale=1.5, size=coarse_gibbs.grid.num_nodes))
         state = init_state(coarse_gibbs, ScalarField(coarse_gibbs.grid, bumps))
-        cfg = SolverConfig(dt=5e-3, t_final=1.0)
-        prev_max = np.max(state.w.values)
-        prev_min = np.min(state.w.values)
-        for _ in range(100):
-            state = step(state, cfg)
-            cur_max = np.max(state.w.values)
-            cur_min = np.min(state.w.values)
+        cfg = SolverConfig(dt=5e-3, t_final=0.5, record_every=1)
+        trajectory = []
+        _, n = evolve(state, cfg, observer=lambda t, w: trajectory.append(w.values))
+        assert n == 100 and len(trajectory) == 101
+        prev_max = np.max(trajectory[0])
+        prev_min = np.min(trajectory[0])
+        for w in trajectory[1:]:
+            cur_max = np.max(w)
+            cur_min = np.min(w)
             assert cur_min >= -1e-12
             assert cur_max <= prev_max * (1 + 1e-10)
             assert cur_min >= prev_min * (1 - 1e-10) - 1e-12
@@ -123,7 +127,7 @@ class TestStep:
         cfg = SolverConfig(dt=50.0, t_final=100.0, linear_tol=1e-14, max_linear_iters=1)
         state = init_state(coarse_gibbs, ou_relative_density(coarse_gibbs.grid, 0.5, 1.0, 1.0, 0.0))
         with pytest.raises(SolverDiagnosticError) as exc_info:
-            step(state, cfg)
+            evolve(state, cfg)
         assert exc_info.value.residual > 0
 
 
@@ -172,9 +176,9 @@ class TestCrankNicolson:
         vals = np.zeros(coarse_gibbs.grid.num_nodes)
         vals[50] = 1.0
         state = init_state(coarse_gibbs, ScalarField(coarse_gibbs.grid, vals))
-        cfg = SolverConfig(dt=0.5, t_final=1.0, scheme="crank-nicolson")
+        cfg = SolverConfig(dt=0.5, t_final=0.5, scheme="crank-nicolson")
         with pytest.warns(RuntimeWarning, match="crank-nicolson"):
-            step(state, cfg)
+            evolve(state, cfg)
 
     def test_smooth_data_stays_positive(self, coarse_gibbs):
         state = init_state(coarse_gibbs, ou_relative_density(coarse_gibbs.grid, 0.5, 1.0, 1.0, 0.0))
@@ -244,7 +248,7 @@ class TestFastDiagonalization:
         vals[gibbs.grid.num_nodes // 2] = 1.0
         state = init_state(gibbs, ScalarField(gibbs.grid, vals))
         with pytest.warns(RuntimeWarning, match="crank-nicolson"):
-            step(state, SolverConfig(dt=0.5, t_final=1.0, scheme="crank-nicolson"))
+            evolve(state, SolverConfig(dt=0.5, t_final=0.5, scheme="crank-nicolson"))
 
 
 class TestBackendSelection:
@@ -256,19 +260,30 @@ class TestBackendSelection:
         gibbs = load_config(CONFIGS / "atoms2d.toml").build_gibbs()
         assert solver_backend(gibbs.operator()) == "pcg"
 
-    def test_stiffness_assembled_only_for_pcg(self):
-        """Fast diagonalization never reads the sparse matrix; PCG assembles it once."""
+    def test_stiffness_is_reference_only(self, monkeypatch):
+        """Neither backend's evolve nor run_verification assembles the sparse matrix."""
+        ops = []
+        operator = GibbsField.operator
+        monkeypatch.setattr(GibbsField, "operator", lambda self: ops.append(operator(self)) or ops[-1])
         gibbs = gaussian_gibbs((7, 9, 11), (-4.0, -3.0, -5.0), (3.0, 5.0, 4.0))
-        op = gibbs.operator()
-        state = init_state(gibbs, ou_relative_density(op.grid, 0.5, 1.0, 1.0, 0.0))
+        state = init_state(gibbs, ou_relative_density(gibbs.grid, 0.5, 1.0, 1.0, 0.0))
         evolve(state, SolverConfig(dt=1e-2, t_final=0.05, record_every=1),
                observer=lambda t, w: fisher(w, gibbs, make_shannon(1.0)))
-        assert "stiffness" not in vars(op)
+        atoms = load_config(CONFIGS / "atoms2d.toml")
+        atoms.t_final = 0.02
+        gibbs = atoms.build_gibbs()
+        evolve(init_state(gibbs, constant_field(gibbs.grid, 1.0)), atoms.solver_config())
+        ou3d = resolve_config({
+            "lambda": 1.0, "tau": 1.0, "grid.dim": 3, "grid.lo": [-4.0, -3.0, -5.0],
+            "grid.hi": [3.0, 5.0, 4.0], "grid.n": [7, 9, 11], "solver.dt": 1e-2,
+            "solver.t_final": 0.05, "initial.kind": "gaussian", "initial.mean": [0.5, 0.0, 0.0],
+        })
+        for cfg in (ou3d, atoms):
+            run_verification(cfg)
+        assert {solver_backend(op) for op in ops} == {"fastdiag", "pcg"}
+        assert not any("stiffness" in vars(op) for op in ops)
 
-        gibbs = load_config(CONFIGS / "atoms2d.toml").build_gibbs()
         op = gibbs.operator()
-        w0 = constant_field(op.grid, 1.0)
-        evolve(init_state(gibbs, w0), SolverConfig(dt=1e-3, t_final=2e-3))
         n = op.grid.n
         edges = (n[0] - 1) * n[1] + n[0] * (n[1] - 1)
         assert op.stiffness.nnz == op.grid.num_nodes + 2 * edges
