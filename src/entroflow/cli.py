@@ -69,10 +69,9 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> dict:
     """Run one trajectory and write timeseries.csv / summary.json into out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    gen = cfg.entropy_generator()
+    gen = cfg.generator
     gibbs = cfg.build_gibbs()
-    grid = gibbs.grid
-    state = init_state(gibbs, cfg.initial_density(grid, gibbs))
+    state = init_state(gibbs, cfg.initial_density(gibbs))
 
     records: list[EnergyRecord] = []
 
@@ -160,7 +159,7 @@ def cmd_rate(cfg: RunConfig, out_dir: Path) -> int:
         e_star, theory = summary["E_star"], summary["lambda_theory"]
     else:
         gibbs = cfg.build_gibbs()
-        _, e_star = compute_minimizer(gibbs, cfg.entropy_generator())
+        _, e_star = compute_minimizer(gibbs, cfg.generator)
         theory = lambda_rate(cfg.lam, cfg.tau, gibbs.m_grid)
     try:
         report = fit_decay_rate(records, e_star, theory)
@@ -177,8 +176,7 @@ def cmd_rate(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_minimizer(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     gibbs = cfg.build_gibbs()
-    gen = cfg.entropy_generator()
-    w_star, e_star = compute_minimizer(gibbs, gen)
+    w_star, e_star = compute_minimizer(gibbs, cfg.generator)
     field_to_csv(w_star, out_dir / "minimizer.csv")
     _write_json(out_dir / "minimizer.json", {
         "E_star": e_star, "Z": gibbs.Z, "normalized": gibbs.normalized,

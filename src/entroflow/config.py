@@ -11,7 +11,8 @@ accepted as an alternative.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,38 +93,35 @@ def load_config_dict(path) -> dict:
 
 @dataclass
 class RunConfig:
-    """Everything one experiment needs, resolved and validated."""
+    """One experiment, resolved: the objects a run is a fixed function of.
+
+    ``resolve_config`` builds and validates ``grid``, ``generator`` and the
+    ``data``, ``loss`` and ``activation`` of the potential (``data`` is
+    ``None`` without a dataset), and joins ``initial_path`` onto the config
+    file's directory.  The solver settings stay plain numbers, from which
+    ``solver_config`` builds a ``SolverConfig``.
+    """
 
     lam: float
     tau: float
-    entropy_family: str
-    entropy_q: float | None
-    entropy_tau: float
-    grid_dim: int
-    grid_lo: list[float]
-    grid_hi: list[float]
-    grid_n: list[int]
+    generator: entropy_mod.EntropyGenerator
+    grid: Grid
+    data: model_mod.Dataset | None
+    loss: model_mod.Loss
+    activation: model_mod.Activation
     dt: float
     t_final: float
     scheme: str
     record_every: int
     linear_tol: float
     max_linear_iters: int
-    dataset_path: str | None
-    z_lo: list[float] | None
-    z_hi: list[float] | None
-    y_lo: float | None
-    y_hi: float | None
-    activation: str
-    loss: str
     initial_kind: str
     initial_mean: list[float]
     initial_stdev: float
-    initial_path: str | None
+    initial_path: Path | None
     normalize_gamma: bool
     seed: int
-    snapshot_every: int = 0
-    base_dir: Path = field(default_factory=Path)
+    snapshot_every: int
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
@@ -132,49 +130,21 @@ class RunConfig:
             max_linear_iters=self.max_linear_iters,
         )
 
-    def entropy_generator(self) -> entropy_mod.EntropyGenerator:
-        return entropy_mod.from_config(self.entropy_family, self.entropy_tau, self.entropy_q)
-
-    def build_grid(self) -> Grid:
-        return build_grid(self.grid_dim, self.grid_lo, self.grid_hi, self.grid_n)
-
-    def load_dataset(self):
-        if self.dataset_path is None:
-            return None, None, None
-        path = Path(self.dataset_path)
-        if not path.is_absolute():
-            path = self.base_dir / path
-        if not path.exists():
-            raise ConfigError(f"dataset file not found: {path}")
-        act = model_mod.activation_from_config(self.activation)
-        loss = model_mod.loss_from_config(self.loss)
-        if self.z_lo is None or self.z_hi is None or self.y_lo is None or self.y_hi is None:
-            raise ConfigError("a dataset requires declared feature and label bounds")
-        data = model_mod.load_dataset_csv(path, self.z_lo, self.z_hi, self.y_lo, self.y_hi)
-        if data.feature_dim != self.grid_dim - 1:
-            raise ConfigError(
-                f"dataset features have dimension {data.feature_dim}; "
-                f"grid dimension {self.grid_dim} requires {self.grid_dim - 1}"
-            )
-        return data, loss, act
-
     def build_gibbs(self) -> GibbsField:
-        data, loss, act = self.load_dataset()
-        fieldv = build_potential(data, loss, act, self.lam, self.tau, self.build_grid())
+        fieldv = build_potential(self.data, self.loss, self.activation, self.lam, self.tau,
+                                 self.grid)
         if np.min(fieldv.gamma.values) < np.finfo(float).tiny:
-            box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(self.grid_lo, self.grid_hi))
-            lo, hi = default_box(self.lam, self.tau, self.grid_dim,
-                                 m_envelope=certified_envelope(data, loss))
+            box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(self.grid.lo, self.grid.hi))
+            lo, hi = default_box(self.lam, self.tau, self.grid.dim, m_envelope=fieldv.m_envelope)
             raise ConfigError(
                 f"Gibbs weight exp(-V/tau) underflows on the box {box} at tau = {self.tau:g}; "
                 f"choose another box, e.g. the automatic [{lo:g}, {hi:g}] per axis "
                 f"(omit grid.lo and grid.hi)"
             )
-        if self.normalize_gamma:
-            fieldv = normalize_gibbs(fieldv)
-        return fieldv
+        return normalize_gibbs(fieldv) if self.normalize_gamma else fieldv
 
-    def initial_density(self, grid: Grid, gibbs: GibbsField) -> ScalarField:
+    def initial_density(self, gibbs: GibbsField) -> ScalarField:
+        grid = gibbs.grid
         if self.initial_kind == "uniform":
             return ScalarField(grid, np.ones(grid.num_nodes))
         if self.initial_kind == "gaussian":
@@ -188,142 +158,138 @@ class RunConfig:
             diff = grid.nodes - mean[None, :]
             bump = np.exp(-0.5 * np.sum(diff**2, axis=1) / self.initial_stdev**2)
             return ScalarField(grid, bump / gibbs.gamma.values)
-        if self.initial_kind == "from-file":
-            if not self.initial_path:
-                raise ConfigError("initial.kind = from-file requires initial.path")
-            path = Path(self.initial_path)
-            if not path.is_absolute():
-                path = self.base_dir / path
-            if not path.exists():
-                raise ConfigError(f"initial density file not found: {path}")
-            try:
-                w0 = field_from_csv(grid, path)
-            except ValueError as exc:
-                raise ConfigError(f"initial density file: {exc}") from exc
-            mass = gibbs.operator().inner(w0.values, np.ones_like(w0.values))
-            if np.any(w0.values < 0) or not mass > 0:
-                raise ConfigError(f"initial density file {path}: values must be nonnegative "
-                                  f"with positive weighted mass")
-            return w0
-        raise ConfigError(f"unknown initial density kind {self.initial_kind!r}")
+        try:
+            w0 = field_from_csv(grid, self.initial_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"initial density file: {exc}") from exc
+        mass = gibbs.operator().inner(w0.values, np.ones_like(w0.values))
+        if np.any(w0.values < 0) or not mass > 0:
+            raise ConfigError(f"initial density file {self.initial_path}: values must be "
+                              f"nonnegative with positive weighted mass")
+        return w0
 
 
-def _get(raw: dict, key: str, default=None, required: bool = False):
-    if key in raw:
-        return raw[key]
-    if required:
+_REQUIRED = object()
+
+
+def _number(raw: dict, key: str, kind=float, default=_REQUIRED, many: bool = False):
+    """Pop ``key`` from ``raw`` as a finite ``kind``, or a list of them if ``many``.
+
+    A scalar given for a ``many`` key becomes a one-entry list.  An absent
+    key takes ``default``; a ``None`` default stays ``None``.
+    """
+    value = raw.pop(key, default)
+    if value is _REQUIRED:
         raise ConfigError(f"missing required config key {key!r}")
-    return default
-
-
-def _as_float_list(value, name: str) -> list[float]:
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    if isinstance(value, list):
-        return [float(v) for v in value]
-    raise ConfigError(f"{name} must be a number or a list of numbers, got {value!r}")
+    if value is None and default is None:
+        return None
+    items = value if many and isinstance(value, list) else [value]
+    try:
+        out = [kind(v) for v in items]
+        finite = kind is int or all(math.isfinite(v) for v in out)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key} must be {what}{' or a list of them' if many else ''}, "
+                          f"got {value!r}")
+    return out if many else out[0]
 
 
 def resolve_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
-    """Validate a flat config dict and resolve it into a RunConfig."""
+    """Validate a flat config dict and build the objects it describes.
+
+    Each key is read once; numbers must be finite, and a key that nothing
+    reads is an error.  The grid (with the automatic box when ``grid.lo``
+    and ``grid.hi`` are omitted), the entropy generator, and the dataset,
+    loss and activation of the potential are built here, each checked by
+    its own constructor, and kept on the ``RunConfig``.  Relative
+    ``dataset`` and ``initial.path`` names are taken from ``base_dir``
+    (default: the working directory).  Invalid input raises ``ConfigError``.
+    """
+    raw = dict(raw)
+    base_dir = Path.cwd() if base_dir is None else Path(base_dir)
     try:
-        lam = float(_get(raw, "lambda", required=True))
-        tau = float(_get(raw, "tau", required=True))
+        lam, tau = _number(raw, "lambda"), _number(raw, "tau")
         for key, value in (("lambda", lam), ("tau", tau)):
             if not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
-        grid_dim = int(_get(raw, "grid.dim", required=True))
-        grid_n_raw = _get(raw, "grid.n", required=True)
-        grid_n = [int(v) for v in (grid_n_raw if isinstance(grid_n_raw, list) else [grid_n_raw])]
+        dim = _number(raw, "grid.dim", int)
+        if dim not in (1, 2, 3):
+            raise ConfigError(f"grid.dim must be 1, 2 or 3, got {dim}")
+        lo = _number(raw, "grid.lo", default=None, many=True)
+        hi = _number(raw, "grid.hi", default=None, many=True)
+        if (lo is None) != (hi is None):
+            raise ConfigError("grid.lo and grid.hi must be given together")
 
-        explicit_box = "grid.lo" in raw and "grid.hi" in raw
-        if explicit_box:
-            grid_lo = _as_float_list(raw["grid.lo"], "grid.lo")
-            grid_hi = _as_float_list(raw["grid.hi"], "grid.hi")
-        else:
-            grid_lo, grid_hi = [0.0], [0.0]  # placeholder, resolved below
+        act = model_mod.activation_from_config(str(raw.pop("activation", "arctan-sigmoid")))
+        loss = model_mod.loss_from_config(str(raw.pop("loss", "saturating-squared")))
+        bounds = [_number(raw, "z_min", default=None, many=True),
+                  _number(raw, "z_max", default=None, many=True),
+                  _number(raw, "y_min", default=None), _number(raw, "y_max", default=None)]
+        dataset, data = raw.pop("dataset", "none"), None
+        if dataset not in ("none", "", None):
+            if any(b is None for b in bounds):
+                raise ConfigError("a dataset requires declared feature and label bounds")
+            path = base_dir / str(dataset)
+            if not path.is_file():
+                raise ConfigError(f"dataset file not found: {path}")
+            data = model_mod.load_dataset_csv(path, *bounds)
+            if data.feature_dim != dim - 1:
+                raise ConfigError(f"dataset features have dimension {data.feature_dim}; "
+                                  f"grid dimension {dim} requires {dim - 1}")
+        if lo is None:
+            # box wide enough that the relative tail mass stays below 1e-10,
+            # accounting for the dataset's certified envelope on the data term
+            lo, hi = default_box(lam, tau, dim, m_envelope=certified_envelope(data, loss))
 
-        dataset = _get(raw, "dataset", "none")
-        dataset_path = None if dataset in ("none", "", None) else str(dataset)
+        kind, init_path = str(raw.pop("initial.kind", "uniform")), raw.pop("initial.path", None)
+        if kind == "from-file":
+            if not init_path:
+                raise ConfigError("initial.kind = from-file requires initial.path")
+            init_path = base_dir / str(init_path)
+            if not init_path.is_file():
+                raise ConfigError(f"initial density file not found: {init_path}")
+        elif kind not in ("uniform", "gaussian"):
+            raise ConfigError(f"unknown initial density kind {kind!r}")
 
-        entropy_family = str(_get(raw, "entropy.family", "shannon"))
-        entropy_q = _get(raw, "entropy.q")
-        entropy_q = float(entropy_q) if entropy_q is not None else None
-        entropy_tau = float(_get(raw, "entropy.tau", tau))
-
-        initial_mean = _as_float_list(_get(raw, "initial.mean", [0.0]), "initial.mean")
+        normalize_gamma = raw.pop("normalize_gamma", True)
+        if not isinstance(normalize_gamma, bool):
+            raise ConfigError(f"normalize_gamma must be true or false, got {normalize_gamma!r}")
+        family = str(raw.pop("entropy.family", "shannon"))
         cfg = RunConfig(
             lam=lam,
             tau=tau,
-            entropy_family=entropy_family,
-            entropy_q=entropy_q,
-            entropy_tau=entropy_tau,
-            grid_dim=grid_dim,
-            grid_lo=grid_lo,
-            grid_hi=grid_hi,
-            grid_n=grid_n,
-            dt=float(_get(raw, "solver.dt", required=True)),
-            t_final=float(_get(raw, "solver.t_final", required=True)),
-            scheme=str(_get(raw, "solver.scheme", "implicit-euler")),
-            record_every=int(_get(raw, "solver.record_every", 10)),
-            linear_tol=float(_get(raw, "solver.linear_tol", 1e-12)),
-            max_linear_iters=int(_get(raw, "solver.max_iters", 2000)),
-            dataset_path=dataset_path,
-            z_lo=_as_float_list(raw["z_min"], "z_min") if "z_min" in raw else None,
-            z_hi=_as_float_list(raw["z_max"], "z_max") if "z_max" in raw else None,
-            y_lo=float(raw["y_min"]) if "y_min" in raw else None,
-            y_hi=float(raw["y_max"]) if "y_max" in raw else None,
-            activation=str(_get(raw, "activation", "arctan-sigmoid")),
-            loss=str(_get(raw, "loss", "saturating-squared")),
-            initial_kind=str(_get(raw, "initial.kind", "uniform")),
-            initial_mean=initial_mean,
-            initial_stdev=float(_get(raw, "initial.stdev", np.sqrt(tau / lam))),
-            initial_path=_get(raw, "initial.path"),
-            normalize_gamma=bool(_get(raw, "normalize_gamma", True)),
-            seed=int(_get(raw, "seed", 0)),
-            snapshot_every=int(_get(raw, "output.snapshot_every", 0)),
-            base_dir=base_dir if base_dir is not None else Path.cwd(),
+            generator=entropy_mod.from_config(family, tau, _number(raw, "entropy.q", default=None)),
+            grid=build_grid(dim, lo, hi, _number(raw, "grid.n", int, many=True)),
+            data=data,
+            loss=loss,
+            activation=act,
+            dt=_number(raw, "solver.dt"),
+            t_final=_number(raw, "solver.t_final"),
+            scheme=str(raw.pop("solver.scheme", "implicit-euler")),
+            record_every=_number(raw, "solver.record_every", int, 10),
+            linear_tol=_number(raw, "solver.linear_tol", float, 1e-12),
+            max_linear_iters=_number(raw, "solver.max_iters", int, 2000),
+            initial_kind=kind,
+            initial_mean=_number(raw, "initial.mean", float, [0.0], many=True),
+            initial_stdev=_number(raw, "initial.stdev", float, np.sqrt(tau / lam)),
+            initial_path=init_path if kind == "from-file" else None,
+            normalize_gamma=normalize_gamma,
+            seed=_number(raw, "seed", int, 0),
+            snapshot_every=_number(raw, "output.snapshot_every", int, 0),
         )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid configuration value: {exc}") from exc
-
-    try:
-        # referenced files must exist and parse before any command starts work
-        data, loss, _ = cfg.load_dataset()
         if not cfg.initial_stdev > 0:
             raise ConfigError(f"initial.stdev must be positive, got {cfg.initial_stdev}")
-        if cfg.initial_kind == "from-file":
-            if not cfg.initial_path:
-                raise ConfigError("initial.kind = from-file requires initial.path")
-            init_path = Path(cfg.initial_path)
-            if not init_path.is_absolute():
-                init_path = cfg.base_dir / init_path
-            if not init_path.exists():
-                raise ConfigError(f"initial density file not found: {init_path}")
-
-        if not explicit_box:
-            # box wide enough that the relative tail mass stays below 1e-10,
-            # accounting for the dataset's certified envelope on the data term
-            envelope = certified_envelope(data, loss)
-            lo, hi = default_box(lam, tau, grid_dim, m_envelope=envelope)
-            cfg.grid_lo, cfg.grid_hi = [lo], [hi]
-
-        if len(cfg.grid_lo) == 1 and grid_dim > 1:
-            cfg.grid_lo = cfg.grid_lo * grid_dim
-        if len(cfg.grid_hi) == 1 and grid_dim > 1:
-            cfg.grid_hi = cfg.grid_hi * grid_dim
-        if len(cfg.grid_n) == 1 and grid_dim > 1:
-            cfg.grid_n = cfg.grid_n * grid_dim
-        # fail fast on constraints the inner modules would reject anyway
-        cfg.solver_config()
-        cfg.entropy_generator()
-        cfg.build_grid()
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
+        cfg.solver_config()  # SolverConfig checks the solver settings
+    except (ValueError, ArithmeticError, OSError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    if raw:
+        raise ConfigError(f"unknown config key(s) {', '.join(repr(k) for k in raw)}")
     return cfg
 
 

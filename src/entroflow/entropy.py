@@ -115,7 +115,7 @@ def make_nonconvex_probe() -> EntropyGenerator:
 
 
 def from_config(family: str, tau: float, q: float | None = None) -> EntropyGenerator:
-    """Build a generator from the configuration keys ``entropy.family/q/tau``."""
+    """Build a generator from the configuration keys ``entropy.family``, ``entropy.q``, ``tau``."""
     if family == "shannon":
         return make_shannon(tau)
     if family == "tsallis":

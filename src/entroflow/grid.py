@@ -104,8 +104,9 @@ def build_grid(dim: int, lo, hi, n) -> Grid:
     for a in range(dim):
         if n_t[a] < 3:
             raise ValueError(f"axis {a}: need at least 3 nodes, got {n_t[a]}")
-        if not lo_t[a] < hi_t[a]:
-            raise ValueError(f"axis {a}: lo must be below hi, got [{lo_t[a]}, {hi_t[a]}]")
+        if not (lo_t[a] < hi_t[a] and math.isfinite(hi_t[a] - lo_t[a])):
+            raise ValueError(f"axis {a}: lo must be below hi, both finite, "
+                             f"got [{lo_t[a]}, {hi_t[a]}]")
     return Grid(dim=dim, lo=lo_t, hi=hi_t, n=n_t)
 
 

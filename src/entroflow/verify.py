@@ -13,7 +13,7 @@ and the sup bound.  Failures are reported, never raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .analysis import (
 from .config import RunConfig
 from .entropy import check_assumptions, conjugate_values, legendre_conjugate, psi_decompose
 from .grid import ScalarField
-from .solver import SolverConfig, evolve, init_state
+from .solver import evolve, init_state
 
 
 @dataclass
@@ -80,10 +80,9 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
     """Execute the full invariant suite for one configuration."""
     rng = np.random.default_rng(cfg.seed)
     results: list[CheckResult] = []
-    gen = cfg.entropy_generator()
-    grid = cfg.build_grid()
-    data, loss, act = cfg.load_dataset()
+    gen, grid = cfg.generator, cfg.grid
     gibbs = cfg.build_gibbs()
+    w0 = cfg.initial_density(gibbs)
     op = gibbs.operator()
 
     # ---- entropy generator structure -------------------------------------
@@ -127,11 +126,11 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
         results.append(conjugate_check(gen))
 
     # ---- data term and Gibbs mass -----------------------------------------
-    if data is not None:
-        envelope = loss.bound * data.total_mass
+    if cfg.data is not None:
+        envelope = cfg.loss.bound * cfg.data.total_mass
         x = np.column_stack([rng.uniform(grid.lo[a], grid.hi[a], size=1000)
                              for a in range(grid.dim)])
-        vals = np.abs(model_mod.generalization_error(x, data, loss, act))
+        vals = np.abs(model_mod.generalization_error(x, cfg.data, cfg.loss, cfg.activation))
         worst = float(np.max(vals))
         results.append(CheckResult(
             "potential.data_term_envelope", worst <= envelope + 1e-12, envelope - worst,
@@ -215,15 +214,10 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
         ))
 
     # ---- a short trajectory -------------------------------------------------
-    w0 = cfg.initial_density(grid, gibbs)
-    state = init_state(gibbs, w0)
-    short = SolverConfig(
-        dt=cfg.dt, t_final=min(cfg.t_final, 200.0 * cfg.dt),
-        scheme=cfg.scheme, linear_tol=cfg.linear_tol,
-        record_every=max(1, min(cfg.record_every, 20)),
-    )
+    short = replace(cfg.solver_config(), t_final=min(cfg.t_final, 200.0 * cfg.dt),
+                    record_every=max(1, min(cfg.record_every, 20)))
     records = []
-    evolve(state, short, observer=lambda t, w: records.append(snapshot(t, w, gibbs, gen)))
+    evolve(init_state(gibbs, w0), short, observer=lambda t, w: records.append(snapshot(t, w, gibbs, gen)))
     mass_drift = max(abs(r.mass - 1.0) for r in records)
     results.append(CheckResult(
         "solver.mass_conservation", mass_drift <= 1e-8, 1e-8 - mass_drift,

@@ -67,7 +67,7 @@ def ou_run():
         "tsallis-2": make_tsallis(2.0, 1.0),
         "tsallis-3": make_tsallis(3.0, 1.0),
     }
-    state = init_state(gibbs, cfg.initial_density(gibbs.grid, gibbs))
+    state = init_state(gibbs, cfg.initial_density(gibbs))
     records = {name: [] for name in gens}
 
     def observer(t, w):
@@ -89,7 +89,7 @@ def atoms_run():
     cfg = load_config(CONFIG_DIR / "atoms2d.toml")
     gibbs = cfg.build_gibbs()
     gen = make_shannon(1.0)
-    state = init_state(gibbs, cfg.initial_density(gibbs.grid, gibbs))
+    state = init_state(gibbs, cfg.initial_density(gibbs))
     records = []
     started = time.perf_counter()
     final, steps = evolve(state, cfg.solver_config(),

@@ -128,7 +128,7 @@ class TestConfigParsing:
         }
         path.write_text(json.dumps(payload), encoding="utf-8")
         cfg = load_config(path)
-        assert cfg.lam == 1.0 and cfg.grid_n == [101]
+        assert cfg.lam == 1.0 and cfg.grid.n == (101,)
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bad.toml"
@@ -144,7 +144,7 @@ class TestConfigParsing:
             encoding="utf-8",
         )
         cfg = load_config(path)
-        assert cfg.grid_lo == [-3.0, -3.0] and cfg.grid_n == [21, 21]
+        assert cfg.grid.lo == (-3.0, -3.0) and cfg.grid.n == (21, 21)
 
     def test_default_box_when_bounds_absent(self, tmp_path):
         path = tmp_path / "cfg.toml"
@@ -154,8 +154,8 @@ class TestConfigParsing:
             encoding="utf-8",
         )
         cfg = load_config(path)
-        assert cfg.grid_hi[0] > 6.0
-        assert cfg.grid_lo[0] == -cfg.grid_hi[0]
+        assert cfg.grid.hi[0] > 6.0
+        assert cfg.grid.lo[0] == -cfg.grid.hi[0]
 
     def test_default_box_widens_with_dataset_envelope(self, tmp_path):
         csv = tmp_path / "d.csv"
@@ -170,7 +170,7 @@ class TestConfigParsing:
             "y_min = 0.0\ny_max = 1.0\n",
             encoding="utf-8",
         )
-        assert load_config(with_data).grid_hi[0] > load_config(plain).grid_hi[0]
+        assert load_config(with_data).grid.hi[0] > load_config(plain).grid.hi[0]
 
     def test_missing_dataset_file_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.toml"
@@ -183,6 +183,23 @@ class TestConfigParsing:
             encoding="utf-8",
         )
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+
+
+NAN, INF = float("nan"), float("inf")
+# config changes on top of FAST_OU (None removes a key), each with the start
+# of its one-line config error
+INVALID = [
+    *(({key: value}, f"{key} must be") for key, value in (
+        ("solver.dt", NAN), ("solver.t_final", NAN), ("solver.t_final", INF),
+        ("solver.linear_tol", NAN), ("solver.record_every", INF), ("seed", INF),
+        ("lambda", INF), ("tau", INF), ("grid.hi", [INF]))),
+    ({"entropy.family": "tsallis", "entropy.q": NAN}, "entropy.q must be"),
+    ({"seed": -1}, "seed must be nonnegative"),
+    ({"solver.sheme": "crank-nicolson"}, "unknown config key(s) 'solver.sheme'"),
+    ({"entropy.tau": 2.0}, "unknown config key(s) 'entropy.tau'"),
+    ({"normalize_gamma": "false"}, "normalize_gamma must be true or false"),
+    ({"grid.hi": None}, "grid.lo and grid.hi must be given together"),
+]
 
 
 class TestRunCommand:
@@ -240,6 +257,33 @@ class TestRunCommand:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: initial density file")
+
+    def test_verify_reads_initial_density_first(self, tmp_path, capsys, monkeypatch):
+        """A bad from-file density stops verify before any check runs."""
+        def no_checks(gen):
+            raise AssertionError("the entropy checks ran before the initial density was read")
+        monkeypatch.setattr("entroflow.verify.check_assumptions", no_checks)
+        cfg = tmp_path / "from_file.toml"
+        cfg.write_text(FAST_OU.replace('initial.kind = "gaussian"', 'initial.kind = "from-file"')
+                       + 'initial.path = "w0.csv"\n', encoding="utf-8")
+        field_to_csv(ScalarField(build_grid(1, -6.0, 6.0, 201), np.zeros(201)), tmp_path / "w0.csv")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"]) == 2
+        assert capsys.readouterr().err.startswith("config error: initial density file")
+
+    @pytest.mark.parametrize("values,message", [
+        pytest.param(values, message, id="-".join(f"{k}={v}" for k, v in values.items()))
+        for values, message in INVALID])
+    @pytest.mark.parametrize("form", ["toml", "json"])
+    def test_invalid_input_is_exit_2(self, tmp_path, capsys, values, message, form):
+        """A non-finite number (from the text parser or JSON), an unknown key or a
+        value that would be misread is named on one line."""
+        raw = {k: v for k, v in {**parse_config_text(FAST_OU), **values}.items() if v is not None}
+        cfg = tmp_path / f"bad.{form}"
+        cfg.write_text(json.dumps(raw) if form == "json"
+                       else "".join(f"{k} = {v!r}\n" for k, v in raw.items()), encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {message}")
 
     def test_verify_at_small_tau_has_no_traceback(self, tmp_path):
         """At tau = 0.01 the conjugate maximizer e^(r/tau) passes 2^200 and |phi*| 1e171."""
@@ -308,6 +352,14 @@ class TestVerifyCommand:
         assert "potential.mass_finiteness" in names
         finiteness = next(c for c in report["checks"] if c["name"] == "potential.mass_finiteness")
         assert finiteness["margin"] >= 0.0
+
+    def test_max_iters_bounds_the_short_trajectory(self, tmp_path, capsys):
+        """solver.max_iters reaches verify's trajectory as it reaches run's."""
+        cfg = tmp_path / "one_iter.toml"
+        cfg.write_text(FAST_OU + "solver.max_iters = 1\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("solver diagnostic:")
 
     def test_invalid_entropy_fails_with_exit_1(self, tmp_path):
         cfg = tmp_path / "probe.toml"
