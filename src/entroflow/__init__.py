@@ -54,7 +54,6 @@ from .model import (
     generalization_error,
     load_dataset_csv,
     saturating_squared_loss,
-    tabulated_activation,
     tanh_sigmoid,
     zero_loss,
 )

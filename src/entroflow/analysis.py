@@ -21,6 +21,7 @@ import numpy as np
 from .entropy import EntropyGenerator, conjugate_values
 from .grid import ScalarField, constant_field, integrate
 from .potential import GibbsField
+from .solver import SolverDiagnosticError
 
 
 @dataclass
@@ -80,9 +81,13 @@ def fisher(w: ScalarField, gibbs: GibbsField, gen: EntropyGenerator) -> float:
 def snapshot(t: float, w: ScalarField, gibbs: GibbsField, gen: EntropyGenerator) -> EnergyRecord:
     """Bundle the instantaneous energy, dissipation, mass, and range of ``w``."""
     op = gibbs.operator()
+    try:
+        e = energy(w, gibbs, gen)
+    except ValueError as exc:  # w comes from the solver: it went negative or overflows phi
+        raise SolverDiagnosticError(f"the state at t = {t:g} has no energy: {exc}") from exc
     return EnergyRecord(
         t=float(t),
-        energy=energy(w, gibbs, gen),
+        energy=e,
         fisher=fisher(w, gibbs, gen),
         mass=op.inner(w.values, np.ones_like(w.values)),
         w_min=float(np.min(w.values)),

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +23,7 @@ from .analysis import (
     snapshot,
 )
 from .config import ConfigError, RunConfig, load_config_dict, resolve_config
-from .grid import field_to_csv
+from .grid import field_to_csv, write_text_atomic
 from .solver import SolverDiagnosticError, evolve, init_state, solver_backend
 from .verify import run_verification
 
@@ -34,40 +33,47 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _out_dir(path: Path) -> None:
+    """Create the output directory ``path``; an unusable one is a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {path}: {exc.strerror}") from exc
 
 
 def _write_timeseries(path: Path, records: list[EnergyRecord]) -> None:
     lines = ["t,energy,fisher,mass,w_min,w_max"]
     for r in records:
         lines.append(f"{r.t!r},{r.energy!r},{r.fisher!r},{r.mass!r},{r.w_min!r},{r.w_max!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_timeseries(path: Path) -> list[EnergyRecord]:
+    """Read a ``timeseries.csv``; an unreadable or malformed file is a ConfigError."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        expected = ["t", "energy", "fisher", "mass", "w_min", "w_max"]
-        if header != expected:
-            raise ConfigError(f"{path}: expected columns {expected}, got {header}")
-        for line in fh:
-            if line.strip():
-                t, e, f, m, lo, hi = (float(v) for v in line.split(","))
-                records.append(EnergyRecord(t=t, energy=e, fisher=f, mass=m, w_min=lo, w_max=hi))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            expected = ["t", "energy", "fisher", "mass", "w_min", "w_max"]
+            if header != expected:
+                raise ValueError(f"expected columns {expected}, got {header}")
+            for line in fh:
+                if line.strip():
+                    t, e, f, m, lo, hi = (float(v) for v in line.split(","))
+                    records.append(EnergyRecord(t=t, energy=e, fisher=f, mass=m,
+                                                w_min=lo, w_max=hi))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return records
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _execute_run(cfg: RunConfig, out_dir: Path) -> dict:
     """Run one trajectory and write timeseries.csv / summary.json into out_dir."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _out_dir(out_dir)
     started = time.perf_counter()
     gen = cfg.generator
     gibbs = cfg.build_gibbs()
@@ -115,11 +121,7 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> dict:
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
-    try:
-        summary = _execute_run(cfg, out_dir)
-    except SolverDiagnosticError as exc:
-        print(f"solver diagnostic: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    summary = _execute_run(cfg, out_dir)
     rate = summary["fitted_rate"]
     rate_txt = f"{rate:.6f}" if rate is not None else "n/a"
     print(f"run complete: {summary['steps']} steps ({summary['solver_backend']}), "
@@ -129,12 +131,8 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
-    try:
-        results = run_verification(cfg)
-    except SolverDiagnosticError as exc:
-        print(f"solver diagnostic: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _out_dir(out_dir)
+    results = run_verification(cfg)
     _write_json(out_dir / "verify.json", {"checks": [r.to_dict() for r in results]})
     failures = [r for r in results if not r.passed]
     for r in results:
@@ -148,15 +146,15 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_rate(cfg: RunConfig, out_dir: Path) -> int:
-    ts_path = out_dir / "timeseries.csv"
-    if not ts_path.exists():
-        print(f"no timeseries.csv in {out_dir}; run the 'run' command first", file=sys.stderr)
-        return EXIT_CONFIG
-    records = read_timeseries(ts_path)
+    records = read_timeseries(out_dir / "timeseries.csv")
     summary_path = out_dir / "summary.json"
     if summary_path.exists():
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        e_star, theory = summary["E_star"], summary["lambda_theory"]
+        try:
+            summary = json.loads(summary_path.read_text(encoding="utf-8"))
+            e_star, theory = float(summary["E_star"]), float(summary["lambda_theory"])
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            raise ConfigError(f"{summary_path} needs numbers E_star and lambda_theory: "
+                              f"{exc!r}") from exc
     else:
         gibbs = cfg.build_gibbs()
         _, e_star = compute_minimizer(gibbs, cfg.generator)
@@ -174,7 +172,7 @@ def cmd_rate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_minimizer(cfg: RunConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _out_dir(out_dir)
     gibbs = cfg.build_gibbs()
     w_star, e_star = compute_minimizer(gibbs, cfg.generator)
     field_to_csv(w_star, out_dir / "minimizer.csv")
@@ -200,25 +198,22 @@ def _sweep_entry(args):
     return value, summary
 
 
-def cmd_sweep(raw_cfg: dict, base_dir: Path, axis: str, values: list[float],
+def cmd_sweep(raw_cfg: dict, base_dir: Path, axis: str, values: str,
               out_dir: Path, jobs: int) -> int:
-    if axis not in _SWEEP_KEYS:
-        print(f"sweep axis must be one of {sorted(_SWEEP_KEYS)}, got {axis!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not values:
-        print("sweep requires a non-empty list of values", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(raw_cfg, str(base_dir), axis, v, str(out_dir / f"{axis}_{v:g}")) for v in values]
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_sweep_entry, tasks))
-        else:
-            outcomes = [_sweep_entry(t) for t in tasks]
-    except SolverDiagnosticError as exc:
-        print(f"solver diagnostic: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        parsed = [float(v) for v in values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep values: {exc}") from exc
+    if not parsed:
+        raise ConfigError("sweep requires a non-empty list of values")
+    _out_dir(out_dir)
+    tasks = [(raw_cfg, str(base_dir), axis, v, str(out_dir / f"{axis}_{v:g}")) for v in parsed]
+    if jobs > 1:
+        # a fork pool starts all its workers at once, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            outcomes = list(pool.map(_sweep_entry, tasks))
+    else:
+        outcomes = [_sweep_entry(t) for t in tasks]
     lines = ["parameter,lambda_theory,fitted_rate,ratio"]
     for value, summary in outcomes:
         fitted = summary["fitted_rate"]
@@ -226,7 +221,7 @@ def cmd_sweep(raw_cfg: dict, base_dir: Path, axis: str, values: list[float],
         ratio = fitted / theory if fitted is not None else math.nan
         fitted_txt = repr(fitted) if fitted is not None else "nan"
         lines.append(f"{value!r},{theory!r},{fitted_txt},{ratio!r}")
-    _atomic_write(out_dir / "sweep.csv", "\n".join(lines) + "\n")
+    write_text_atomic(out_dir / "sweep.csv", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -253,39 +248,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    0 is success and 1 a failed verification.  A ``ConfigError`` (invalid or
+    unreadable config, unusable ``--out``, malformed ``timeseries.csv`` or
+    ``summary.json``) exits 2; a ``SolverDiagnosticError`` (an inner solve
+    that does not converge or a state with no finite energy, in a sweep
+    worker too) exits 3; each prints one stderr line here.  A failed rate
+    fit in ``rate`` also exits 3.
+    """
     args = build_parser().parse_args(argv)
+    cfg_path, out_dir = Path(args.config), Path(args.out)
     try:
-        cfg_path = Path(args.config)
         raw = load_config_dict(cfg_path)
         if args.seed is not None:
-            raw = dict(raw)
             raw["seed"] = args.seed
         cfg = resolve_config(raw, base_dir=cfg_path.parent)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = Path(args.out)
-
-    try:
-        if args.command == "run":
-            return cmd_run(cfg, out_dir)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir)
-        if args.command == "rate":
-            return cmd_rate(cfg, out_dir)
-        if args.command == "minimizer":
-            return cmd_minimizer(cfg, out_dir)
         if args.command == "sweep":
-            try:
-                values = [float(v) for v in args.values.split(",") if v.strip()]
-            except ValueError as exc:
-                print(f"config error: bad sweep values: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-            return cmd_sweep(raw, cfg_path.parent, args.axis, values, out_dir, args.jobs)
+            return cmd_sweep(raw, cfg_path.parent, args.axis, args.values, out_dir, args.jobs)
+        cmds = {"run": cmd_run, "verify": cmd_verify, "rate": cmd_rate, "minimizer": cmd_minimizer}
+        return cmds[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError(f"unhandled command {args.command}")
+    except SolverDiagnosticError as exc:
+        print(f"solver diagnostic: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -77,9 +77,10 @@ def parse_config_text(text: str) -> dict:
 
 def load_config_dict(path) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
             raw = json.loads(text)
@@ -157,6 +158,8 @@ class RunConfig:
                 )
             diff = grid.nodes - mean[None, :]
             bump = np.exp(-0.5 * np.sum(diff**2, axis=1) / self.initial_stdev**2)
+            if not np.any(bump > 0):
+                raise ConfigError("the initial gaussian underflows to 0 at every node")
             return ScalarField(grid, bump / gibbs.gamma.values)
         try:
             w0 = field_from_csv(grid, self.initial_path)
@@ -176,7 +179,8 @@ def _number(raw: dict, key: str, kind=float, default=_REQUIRED, many: bool = Fal
     """Pop ``key`` from ``raw`` as a finite ``kind``, or a list of them if ``many``.
 
     A scalar given for a ``many`` key becomes a one-entry list.  An absent
-    key takes ``default``; a ``None`` default stays ``None``.
+    key takes ``default``; a ``None`` default stays ``None``.  A boolean is
+    no number, and an ``int`` key takes integral floats (``1e3``) only.
     """
     value = raw.pop(key, default)
     if value is _REQUIRED:
@@ -185,11 +189,14 @@ def _number(raw: dict, key: str, kind=float, default=_REQUIRED, many: bool = Fal
         return None
     items = value if many and isinstance(value, list) else [value]
     try:
+        if any(isinstance(v, bool) or kind is int and isinstance(v, float) and not v.is_integer()
+               for v in items):
+            raise ValueError(value)
         out = [kind(v) for v in items]
-        finite = kind is int or all(math.isfinite(v) for v in out)
+        valid = kind is int or all(math.isfinite(v) for v in out)
     except (TypeError, ValueError, OverflowError):
-        finite = False
-    if not finite:
+        valid = False
+    if not valid:
         what = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{key} must be {what}{' or a list of them' if many else ''}, "
                           f"got {value!r}")

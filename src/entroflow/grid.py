@@ -14,6 +14,7 @@ conservation properties of the solver.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -309,8 +310,15 @@ def field_to_csv(f: ScalarField, path) -> None:
     header = ",".join(f"x_{a + 1}" for a in range(g.dim)) + ",value"
     rows = np.column_stack([g.nodes, f.values]).tolist()
     lines = [header] + [",".join(map(repr, row)) for row in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``<path>.tmp`` and rename that onto ``path``: no partial file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def field_from_csv(grid: Grid, path) -> ScalarField:

@@ -86,17 +86,6 @@ def tanh_sigmoid() -> Activation:
     )
 
 
-def tabulated_activation(s_table, values) -> Activation:
-    """Cubic-spline activation through tabulated samples.
-
-    Outside the table the spline is extrapolated.
-    """
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(np.asarray(s_table, dtype=float), np.asarray(values, dtype=float))
-    return Activation(kind="custom-tabulated", eval=spline)
-
-
 def activation_from_config(kind: str) -> Activation:
     if kind == "arctan-sigmoid":
         return arctan_sigmoid()

@@ -44,11 +44,14 @@ from .potential import GibbsField
 
 
 class SolverDiagnosticError(RuntimeError):
-    """Inner linear solve failed to converge; carries the final residual."""
+    """An inner solve did not converge (``residual`` is set) or a state went bad; picklable."""
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message, residual)
         self.residual = residual
+
+    def __str__(self) -> str:
+        return self.args[0] + ("" if self.residual is None else f" (residual {self.residual:.3e})")
 
 
 @dataclass

@@ -1,16 +1,22 @@
 """Config parsing and the command-line contract: exit codes, artifacts, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroflow
-from entroflow import ScalarField, build_grid, field_to_csv
+from entroflow import ScalarField, build_grid, cli, field_to_csv
 from entroflow.cli import main, read_timeseries
 from entroflow.config import ConfigError, load_config, parse_config_text
 
@@ -192,7 +198,10 @@ INVALID = [
     *(({key: value}, f"{key} must be") for key, value in (
         ("solver.dt", NAN), ("solver.t_final", NAN), ("solver.t_final", INF),
         ("solver.linear_tol", NAN), ("solver.record_every", INF), ("seed", INF),
-        ("lambda", INF), ("tau", INF), ("grid.hi", [INF]))),
+        ("lambda", INF), ("tau", INF), ("grid.hi", [INF]),
+        # an integer key takes no fractional value, and no key takes a boolean
+        ("grid.n", [61.9]), ("seed", 1.5), ("solver.record_every", 2.5),
+        ("grid.dim", True), ("lambda", True))),
     ({"entropy.family": "tsallis", "entropy.q": NAN}, "entropy.q must be"),
     ({"seed": -1}, "seed must be nonnegative"),
     ({"solver.sheme": "crank-nicolson"}, "unknown config key(s) 'solver.sheme'"),
@@ -280,7 +289,8 @@ class TestRunCommand:
         raw = {k: v for k, v in {**parse_config_text(FAST_OU), **values}.items() if v is not None}
         cfg = tmp_path / f"bad.{form}"
         cfg.write_text(json.dumps(raw) if form == "json"
-                       else "".join(f"{k} = {v!r}\n" for k, v in raw.items()), encoding="utf-8")
+                       else "".join(f"{k} = {json.dumps(v)}\n" for k, v in raw.items()),
+                      encoding="utf-8")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {message}")
@@ -340,6 +350,156 @@ class TestRunCommand:
         assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
         assert (out / "w_t0.csv").exists()
         assert len(list(out.glob("w_t*.csv"))) >= 2
+
+
+SMOKE_BASE = """\
+lambda = 1.0
+tau = 1.0
+grid.dim = 1
+grid.lo = [-5.0]
+grid.hi = [5.0]
+grid.n = [15]
+solver.dt = 0.05
+solver.t_final = 0.6
+solver.record_every = 1
+initial.kind = "gaussian"
+initial.mean = [1.0]
+"""
+TIMESERIES = "t,energy,fisher,mass,w_min,w_max\n" + "".join(
+    f"{0.1 * k!r},{math.exp(-0.2 * k)!r},1.0,1.0,1.0,1.0\n" for k in range(40))
+SWEEP = ["sweep", "--axis", "lambda", "--values", "1,2"]
+# Inputs that ended in a traceback with exit 1 before main mapped every error:
+# (config text, or bytes, or None for a directory; --out: None for a fresh
+# directory, "file" for an existing file, else the files it holds; command
+# line; exit code).  The Crank-Nicolson inputs also emit undershoot warnings,
+# which are Python warnings, not lines that main prints.
+ESCAPED = {
+    "run-out-is-file": (FAST_OU, "file", ["run"], 2),
+    "verify-out-is-file": (FAST_OU, "file", ["verify"], 2),
+    "minimizer-out-is-file": (FAST_OU, "file", ["minimizer"], 2),
+    "sweep-out-is-file": (FAST_OU, "file", SWEEP, 2),
+    "config-is-a-directory": (None, None, ["run"], 2),
+    "config-not-utf8": (FAST_OU.encode() + b"# \xff\n", None, ["run"], 2),
+    "rate-timeseries-non-number": (FAST_OU, {"timeseries.csv": TIMESERIES + "4.0,x,1,1,1,1\n"},
+                                   ["rate"], 2),
+    "rate-timeseries-short-row": (FAST_OU, {"timeseries.csv": TIMESERIES + "4.0,1e-4\n"},
+                                  ["rate"], 2),
+    "rate-summary-without-E_star": (
+        FAST_OU, {"timeseries.csv": TIMESERIES, "summary.json": '{"lambda_theory": 2.0}'},
+        ["rate"], 2),
+    "rate-summary-not-json": (FAST_OU, {"timeseries.csv": TIMESERIES, "summary.json": "{"},
+                              ["rate"], 2),
+    "sweep-worker-does-not-converge": (FAST_OU + "solver.max_iters = 1\n", None,
+                                       ["--jobs", "2", *SWEEP], 3),
+    "gaussian-vanishes-on-grid": (FAST_OU + "initial.stdev = 1e-6\n", None, ["run"], 2),
+    # the flow's density goes negative: Crank-Nicolson on a narrow bump, and
+    # a pointwise inaccurate PCG solve where exp(-V/tau) spans 270 decades
+    "crank-nicolson-goes-negative": (
+        FAST_OU.replace("solver.dt = 2e-3", "solver.dt = 0.2")
+        + 'solver.scheme = "crank-nicolson"\ninitial.stdev = 0.05\n', None, ["run"], 3),
+    "verify-crank-nicolson-goes-negative": (
+        FAST_OU.replace("solver.dt = 2e-3", "solver.dt = 0.2")
+        + 'solver.scheme = "crank-nicolson"\ninitial.stdev = 0.05\n', None, ["verify"], 3),
+    "pcg-goes-negative": (SMOKE_BASE + "tau = 0.01\nlambda = 0.5\n", None, ["run"], 3),
+}
+
+
+def _make_out(out: Path, spec) -> None:
+    """Leave ``out`` absent (None), make it a file ("file"), or a directory
+    holding the files of the dict ``spec``."""
+    if spec == "file":
+        out.write_text("an existing file\n", encoding="utf-8")
+    elif spec is not None:
+        out.mkdir()
+        for name, text in spec.items():
+            (out / name).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(ESCAPED))
+def test_every_failure_is_one_line_exit_2_or_3(tmp_path, capsys, case):
+    """An unusable --out or config file, a malformed artifact and a sweep
+    worker's solver failure each end in one stderr line, not a traceback."""
+    config, out_spec, command, code = ESCAPED[case]
+    cfg = tmp_path / "cfg.toml"
+    if config is None:
+        cfg.mkdir()
+    elif isinstance(config, bytes):
+        cfg.write_bytes(config)
+    else:
+        cfg.write_text(config, encoding="utf-8")
+    out = tmp_path / "out"
+    _make_out(out, out_spec)
+    assert main(["--config", str(cfg), "--out", str(out), *command]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("config error:" if code == 2 else "solver diagnostic:")
+
+
+def test_sweep_pool_has_no_idle_workers(fast_config, tmp_path, monkeypatch):
+    """--jobs 64 over two values asks the pool for two workers, not 64."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert main(["--config", str(fast_config), "--out", str(tmp_path / "s"), "--jobs", "64",
+                 *SWEEP]) == 0
+    assert sizes == [2]
+
+
+# config lines appended to SMOKE_BASE (a later line for the same key wins);
+# each keeps a command short, and many of them are invalid
+SMOKE_LINES = [
+    "grid.n = [5]", "grid.n = [9.5]", "grid.n = [1]", "grid.dim = true", "tau = 0.5",
+    "tau = 0.01", "lambda = -1.0", "lambda = nan", 'entropy.family = "tsallis"',
+    "entropy.q = 2.0", 'entropy.family = "nonconvex-probe"', 'solver.scheme = "crank-nicolson"',
+    'solver.scheme = "rk4"', "solver.max_iters = 1", "solver.max_iters = 1e3", "seed = -1",
+    "seed = 2.5", "output.snapshot_every = 2", "solver.t_final = 0.01", "unknown.key = 1",
+]
+# --out: absent, an empty directory, an existing file, or a directory
+# holding a corrupted artifact
+SMOKE_OUT = [None, {}, "file",
+             {"timeseries.csv": TIMESERIES + "5.0,x,1,1,1,1\n"},
+             {"timeseries.csv": TIMESERIES + "5.0,1.0\n"},
+             {"timeseries.csv": "t,energy\n0.0,1.0\n"},
+             {"timeseries.csv": "t,energy,fisher,mass,w_min,w_max\n"},
+             {"timeseries.csv": TIMESERIES, "summary.json": "{"},
+             {"timeseries.csv": TIMESERIES, "summary.json": "[1, 2]"},
+             {"timeseries.csv": TIMESERIES, "summary.json": '{"lambda_theory": 2.0}'},
+             {"timeseries.csv": TIMESERIES, "summary.json": '{"E_star": "a", "lambda_theory": 2}'}]
+SMOKE_COMMANDS = [["run"], ["verify"], ["rate"], ["minimizer"],
+                  ["sweep", "--axis", "lambda", "--values", "0.5,2"],
+                  ["sweep", "--axis", "q", "--values", "1.5"],
+                  ["sweep", "--axis", "tau", "--values", "x,"]]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(command=st.sampled_from(SMOKE_COMMANDS),
+       lines=st.lists(st.sampled_from(SMOKE_LINES), max_size=3),
+       out_spec=st.sampled_from(SMOKE_OUT))
+def test_every_command_keeps_the_exit_code_contract(command, lines, out_spec):
+    """Any command, config and --out returns 0-3, and 2 or 3 with one stderr line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.toml", Path(tmp) / "out"
+        cfg.write_text(SMOKE_BASE + "".join(f"{line}\n" for line in lines), encoding="utf-8")
+        _make_out(out, out_spec)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", str(cfg), "--out", str(out), *command])
+    assert code in (0, 1, 2, 3)
+    if code >= 2:
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
 
 
 class TestVerifyCommand:

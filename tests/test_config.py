@@ -57,6 +57,13 @@ def test_every_dict_resolves_or_raises_config_error(drawn, dropped):
     assert set(raw) <= set(KEYS)
 
 
+def test_integral_floats_read_as_integers():
+    """1e3 is an integer; 2.5 and true are rejected (tests/test_cli.py)."""
+    cfg = resolve_config({**BASE, "solver.max_iters": 1e3, "grid.n": [31.0], "seed": 3.0})
+    assert (cfg.max_linear_iters, cfg.grid.n, cfg.seed) == (1000, (31,), 3)
+    assert isinstance(cfg.max_linear_iters, int) and isinstance(cfg.seed, int)
+
+
 def test_verify_and_run_parse_the_dataset_once(tmp_path, monkeypatch):
     """resolve_config reads the CSV; run and verify use the dataset it built."""
     calls = []

@@ -251,6 +251,25 @@ class TestFieldCsv:
             b"1.0,1.0,7.0\n"
         )
 
+    def test_write_is_atomic(self, tmp_path, monkeypatch):
+        """The CSV is written beside the target and renamed onto it: a write
+        that fails before the rename leaves the old file whole, and a write
+        that succeeds leaves no temp file."""
+        g = build_grid(1, -1, 1, 4)
+        path = tmp_path / "w.csv"
+        path.write_text("old\n", encoding="utf-8")
+
+        def no_rename(src, dst):
+            raise OSError("interrupted")
+        with monkeypatch.context() as m:
+            m.setattr("entroflow.grid.os.replace", no_rename)
+            with pytest.raises(OSError, match="interrupted"):
+                field_to_csv(ScalarField(g, np.ones(4)), path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        field_to_csv(ScalarField(g, np.ones(4)), path)
+        assert field_from_csv(g, path).values.tolist() == [1.0] * 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.csv"]
+
     def test_nonfinite_rejected(self):
         g = build_grid(1, 0, 1, 5)
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from entroflow import (
     generalization_error,
     load_dataset_csv,
     saturating_squared_loss,
-    tabulated_activation,
     tanh_sigmoid,
     zero_loss,
 )
@@ -47,14 +46,6 @@ class TestEvalNetwork:
             base = eval_network((x0, xp), (z,), act)
             scaled = eval_network((alpha * x0, xp), (z,), act)
             assert scaled == pytest.approx(alpha * base, abs=1e-12)
-
-
-class TestActivations:
-    def test_tabulated_spline(self):
-        s = np.linspace(-4, 4, 81)
-        act = tabulated_activation(s, 0.5 * (1 + np.arctan(s)))
-        probe = np.linspace(-3.5, 3.5, 57)
-        np.testing.assert_allclose(act.eval(probe), 0.5 * (1 + np.arctan(probe)), atol=1e-5)
 
 
 class TestLoss:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entroflow import (
+    Activation,
     DataPoint,
     Dataset,
     arctan_sigmoid,
@@ -17,7 +18,6 @@ from entroflow import (
     integrate,
     normalize_gibbs,
     saturating_squared_loss,
-    tabulated_activation,
     zero_loss,
 )
 
@@ -66,7 +66,7 @@ class TestDataTermBound:
 
     def test_zero_activation_fits_everywhere(self):
         """A silent network with zero labels has zero loss at every node."""
-        act = tabulated_activation(np.linspace(-5, 5, 11), np.zeros(11))
+        act = Activation("zero", np.zeros_like)
         data = Dataset(points=(DataPoint(z=(0.2,), y=0.0, weight=1.0),))
         g = build_grid(2, -3, 3, 15)
         assert build_potential(data, saturating_squared_loss(), act, 1.0, 1.0, g).m_grid == 0.0
