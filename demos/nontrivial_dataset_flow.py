@@ -9,14 +9,10 @@
 import numpy as np
 
 import entroflow as ef
-from entroflow.model import DataPoint, Dataset, arctan_sigmoid, saturating_squared_loss
+from entroflow.model import Dataset, arctan_sigmoid, saturating_squared_loss
 
 lam = tau = 1.0
-data = Dataset(points=(
-    DataPoint(z=(-0.5,), y=0.2, weight=0.1),
-    DataPoint(z=(0.0,), y=0.8, weight=0.1),
-    DataPoint(z=(0.6,), y=0.5, weight=0.1),
-))
+data = Dataset(z=[[-0.5], [0.0], [0.6]], y=[0.2, 0.8, 0.5], weight=[0.1, 0.1, 0.1])
 loss, act = saturating_squared_loss(), arctan_sigmoid()
 
 grid = ef.build_grid(2, -7.0, 7.0, 101)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 import entroflow as ef
-from entroflow.model import DataPoint, Dataset, arctan_sigmoid, saturating_squared_loss
+from entroflow.model import Dataset, arctan_sigmoid, saturating_squared_loss
 
 
 def random_density(gibbs, rng, modes=4):
@@ -33,11 +33,7 @@ grid1 = ef.build_grid(1, -6.0, 6.0, 401)
 clean = ef.normalize_gibbs(ef.build_potential(None, None, None, lam, tau, grid1))
 
 # the same regularizer plus three weighted atoms
-data = Dataset(points=(
-    DataPoint(z=(-0.5,), y=0.2, weight=0.1),
-    DataPoint(z=(0.0,), y=0.8, weight=0.1),
-    DataPoint(z=(0.6,), y=0.5, weight=0.1),
-))
+data = Dataset(z=[[-0.5], [0.0], [0.6]], y=[0.2, 0.8, 0.5], weight=[0.1, 0.1, 0.1])
 grid2 = ef.build_grid(2, -7.0, 7.0, 61)
 perturbed = ef.normalize_gibbs(ef.build_potential(
     data, saturating_squared_loss(), arctan_sigmoid(), lam, tau, grid2))

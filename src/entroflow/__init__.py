@@ -46,7 +46,6 @@ from .grid import (
 )
 from .model import (
     Activation,
-    DataPoint,
     Dataset,
     Loss,
     arctan_sigmoid,

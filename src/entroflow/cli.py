@@ -206,8 +206,11 @@ def cmd_sweep(raw_cfg: dict, base_dir: Path, axis: str, values: str,
         raise ConfigError(f"bad sweep values: {exc}") from exc
     if not parsed:
         raise ConfigError("sweep requires a non-empty list of values")
+    if len(set(parsed)) < len(parsed):
+        raise ConfigError(f"sweep values must be distinct, got {values!r}")
     _out_dir(out_dir)
-    tasks = [(raw_cfg, str(base_dir), axis, v, str(out_dir / f"{axis}_{v:g}")) for v in parsed]
+    # each directory is named by the value's sweep.csv parameter text
+    tasks = [(raw_cfg, str(base_dir), axis, v, str(out_dir / f"{axis}_{v!r}")) for v in parsed]
     if jobs > 1:
         # a fork pool starts all its workers at once, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
@@ -251,10 +254,10 @@ def main(argv=None) -> int:
     """Run one command and return its exit code.
 
     0 is success and 1 a failed verification.  A ``ConfigError`` (invalid or
-    unreadable config, unusable ``--out``, malformed ``timeseries.csv`` or
-    ``summary.json``) exits 2; a ``SolverDiagnosticError`` (an inner solve
-    that does not converge or a state with no finite energy, in a sweep
-    worker too) exits 3; each prints one stderr line here.  A failed rate
+    unreadable config or dataset, unusable ``--out``, malformed
+    ``timeseries.csv`` or ``summary.json``) exits 2; a ``SolverDiagnosticError``
+    (an inner solve that does not converge or breaks down, or a state with no
+    finite energy, in a sweep worker too) exits 3; each prints one stderr line here.  A failed rate
     fit in ``rate`` also exits 3.
     """
     args = build_parser().parse_args(argv)

@@ -10,8 +10,10 @@ accepted as an alternative.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +55,10 @@ def _parse_scalar(token: str):
     return token
 
 
+# a value runs up to the first '#' outside a quoted string
+_VALUE = re.compile(r"""(?:"[^"]*"|'[^']*'|[^#])*""")
+
+
 def parse_config_text(text: str) -> dict:
     """Parse flat ``key = value`` lines into a dict."""
     out: dict = {}
@@ -64,7 +70,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.split("#", 1)[0].strip()
+        value = _VALUE.match(value).group().strip()
         if not key or not value:
             raise ConfigError(f"line {line_no}: empty key or value")
         if value.startswith("[") and value.endswith("]"):
@@ -136,11 +142,13 @@ class RunConfig:
                                  self.grid)
         if np.min(fieldv.gamma.values) < np.finfo(float).tiny:
             box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(self.grid.lo, self.grid.hi))
-            lo, hi = default_box(self.lam, self.tau, self.grid.dim, m_envelope=fieldv.m_envelope)
+            hint = ""
+            with contextlib.suppress(OverflowError):  # exp(2M/tau) overflows: no automatic box
+                lo, hi = default_box(self.lam, self.tau, self.grid.dim, fieldv.m_envelope)
+                hint = f", e.g. the automatic [{lo:g}, {hi:g}] per axis (omit grid.lo and grid.hi)"
             raise ConfigError(
                 f"Gibbs weight exp(-V/tau) underflows on the box {box} at tau = {self.tau:g}; "
-                f"choose another box, e.g. the automatic [{lo:g}, {hi:g}] per axis "
-                f"(omit grid.lo and grid.hi)"
+                f"choose another box{hint}"
             )
         return normalize_gibbs(fieldv) if self.normalize_gamma else fieldv
 

@@ -17,50 +17,45 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class DataPoint:
-    z: np.ndarray
-    y: float
-    weight: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", np.atleast_1d(np.asarray(self.z, dtype=float)))
-        if self.weight < 0:
-            raise ValueError(f"weight must be nonnegative, got {self.weight}")
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Weighted atoms of a finite measure on feature-label pairs.
 
-    Weights need not sum to one; ``total_mass`` is their sum and must be
-    positive and finite.
+    ``z`` holds one feature row per atom, shape ``(n, k)`` with ``k >= 0``;
+    ``y`` and ``weight`` have shape ``(n,)``.  The arrays are validated once
+    and stored as read-only copies: ``n >= 1``, every value finite, weights
+    nonnegative.  Weights need not sum to one; ``total_mass`` is their sum
+    and must be positive and finite.
     """
 
-    points: tuple[DataPoint, ...]
+    z: np.ndarray
+    y: np.ndarray
+    weight: np.ndarray
 
     def __post_init__(self):
-        if not self.points:
+        for name in ("z", "y", "weight"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if self.z.ndim != 2 or self.y.shape != (len(self.z),) or self.weight.shape != self.y.shape:
+            raise ValueError(f"dataset needs z of shape (n, k) and y, weight of shape (n,), "
+                             f"got {self.z.shape}, {self.y.shape}, {self.weight.shape}")
+        if not self.y.size:
             raise ValueError("dataset must contain at least one point")
-        dims = {p.z.size for p in self.points}
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent feature dimensions in dataset: {sorted(dims)}")
+        if not all(np.isfinite(a).all() for a in (self.z, self.y, self.weight)):
+            raise ValueError("dataset values must be finite")
+        if np.any(self.weight < 0):
+            raise ValueError(f"weights must be nonnegative, got {self.weight.min()}")
         if not (0.0 < self.total_mass < np.inf):
             raise ValueError(f"total mass must be positive and finite, got {self.total_mass}")
 
     @property
     def total_mass(self) -> float:
-        return float(sum(p.weight for p in self.points))
+        # left to right in Python, not np.sum's pairwise order: the automatic box reads every bit
+        return float(sum(self.weight.tolist()))
 
     @property
     def feature_dim(self) -> int:
-        return self.points[0].z.size
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked ``(z, y, weight)`` arrays for vectorized evaluation."""
-        z = np.stack([p.z for p in self.points])
-        y = np.array([p.y for p in self.points])
-        w = np.array([p.weight for p in self.points])
-        return z, y, w
+        return self.z.shape[1]
 
 
 @dataclass(frozen=True)
@@ -132,32 +127,27 @@ def loss_from_config(kind: str) -> Loss:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _split_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] < 2 and x.shape[1] != 1:
-        raise ValueError("parameter vectors need at least the output weight")
-    return x[:, 0], x[:, 1:]
-
-
 def eval_network(x, z, act: Activation):
     """Network output ``x0 * sigma(x' . z)`` for parameters ``x = (x0, x')``.
 
-    ``x`` may be a single parameter vector or a stack of them (one row per
-    parameter point); the output is then a scalar or a vector.
+    ``x`` is one parameter vector or a stack of them (one row per parameter
+    point), and ``z`` one feature vector or a stack (one row per atom).  The
+    output has one axis per stack, ``x``'s first: a scalar for two vectors,
+    shape ``(m, n)`` for ``m`` parameter points and ``n`` atoms.
     """
-    x_arr = np.asarray(x, dtype=float)
-    single = x_arr.ndim == 1
-    x0, xp = _split_params(x_arr)
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if z_arr.size != xp.shape[1]:
+    x = np.asarray(x, dtype=float)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if x.ndim == 0 or x.shape[-1] < 1:
+        raise ValueError("parameter vectors need at least the output weight")
+    if z.shape[-1] != x.shape[-1] - 1:
         raise ValueError(
-            f"feature dimension {z_arr.size} does not match parameter dimension "
-            f"{xp.shape[1] + 1} (expected {xp.shape[1]})"
+            f"feature dimension {z.shape[-1]} does not match parameter dimension "
+            f"{x.shape[-1]} (expected {x.shape[-1] - 1})"
         )
-    out = x0 * act.eval(xp @ z_arr)
-    return float(out[0]) if single else out
+    xs = np.atleast_2d(x)
+    out = xs[:, :1] * act.eval(xs[:, 1:] @ np.atleast_2d(z).T)
+    out = out.reshape(x.shape[:-1] + z.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 def generalization_error(x, data: Dataset, loss: Loss, act: Activation):
@@ -166,58 +156,50 @@ def generalization_error(x, data: Dataset, loss: Loss, act: Activation):
     Accepts a single parameter vector or a stack; the result never exceeds
     ``loss.bound * data.total_mass``.
     """
-    x_arr = np.asarray(x, dtype=float)
-    single = x_arr.ndim == 1
-    x0, xp = _split_params(x_arr)
-    z, y, wgt = data.arrays()
-    if z.shape[1] != xp.shape[1]:
-        raise ValueError(
-            f"dataset feature dimension {z.shape[1]} does not match parameter dimension "
-            f"{xp.shape[1] + 1}"
-        )
-    pre = xp @ z.T                      # (npoints_x, natoms)
-    outputs = x0[:, None] * act.eval(pre)
-    total = loss.eval(outputs, y[None, :]) @ wgt
-    return float(total[0]) if single else total
+    total = loss.eval(eval_network(x, data.z, act), data.y) @ data.weight
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def load_dataset_csv(path, z_lo, z_hi, y_lo: float, y_hi: float) -> Dataset:
     """Read weighted atoms from a CSV with header ``z_1,...,z_k,y[,weight]``.
 
-    The declared feature box and label interval are enforced on ingestion;
-    any out-of-bounds row aborts with its row number.  A missing weight
-    column assigns every atom weight ``1/n``.
+    The declared feature box and label interval are enforced on ingestion
+    (a ``nan`` is outside every interval); an empty file, a short row, a
+    non-numeric cell or an out-of-bounds row aborts with its row number.  A
+    missing weight column assigns every atom weight ``1/n``.
     """
     z_lo = np.atleast_1d(np.asarray(z_lo, dtype=float))
     z_hi = np.atleast_1d(np.asarray(z_hi, dtype=float))
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = [c.strip() for c in next(reader)]
-        z_cols = [i for i, c in enumerate(header) if c.startswith("z_")]
+        header = [c.strip() for c in next(reader, [])]
         if "y" not in header:
-            raise ValueError(f"{path}: header must contain a 'y' column")
-        y_col = header.index("y")
-        w_col = header.index("weight") if "weight" in header else None
+            raise ValueError(f"{path}: row 1: header must contain a 'y' column")
+        z_cols = [i for i, c in enumerate(header) if c.startswith("z_")]
         if len(z_cols) != z_lo.size or len(z_cols) != z_hi.size:
             raise ValueError(
                 f"{path}: {len(z_cols)} feature columns but bounds declare {z_lo.size}"
             )
-        rows = []
+        cols = z_cols + [header.index(c) for c in ("y", "weight") if c in header]
+        values, row_nos = [], []
         for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not any(c.strip() for c in row):
                 continue
-            z = np.array([float(row[i]) for i in z_cols])
-            y = float(row[y_col])
-            if np.any(z < z_lo) or np.any(z > z_hi):
-                raise ValueError(f"{path}: row {row_no}: feature outside declared bounds")
-            if y < y_lo or y > y_hi:
-                raise ValueError(f"{path}: row {row_no}: label outside declared bounds")
-            w = float(row[w_col]) if w_col is not None else None
-            rows.append((z, y, w))
-    if not rows:
+            try:
+                values.append([float(row[i]) for i in cols])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: row {row_no}: expected a number in each of the "
+                                 f"{len(header)} columns, got {row}") from None
+            row_nos.append(row_no)
+    if not values:
         raise ValueError(f"{path}: no data rows")
-    default_w = 1.0 / len(rows)
-    points = tuple(
-        DataPoint(z=z, y=y, weight=w if w is not None else default_w) for z, y, w in rows
-    )
-    return Dataset(points=points)
+    table = np.array(values)
+    k = len(z_cols)
+    z, y = table[:, :k], table[:, k]
+    for what, ok in (("feature", np.all((z_lo <= z) & (z <= z_hi), axis=1)),
+                     ("label", (y_lo <= y) & (y <= y_hi))):
+        if not ok.all():
+            row_no = row_nos[np.argmin(ok)]
+            raise ValueError(f"{path}: row {row_no}: {what} outside declared bounds")
+    weight = table[:, k + 1] if table.shape[1] > k + 1 else np.full(len(y), 1.0 / len(y))
+    return Dataset(z=z, y=y, weight=weight)

@@ -197,7 +197,11 @@ class Stepper:
         p[:] = z
         for _ in range(self.max_iters):
             self._system(p, ap)
-            alpha = rho / float(np.dot(p, ap))
+            p_ap = float(np.dot(p, ap))
+            if not p_ap > 0.0:  # A is positive definite: p vanished below roundoff
+                raise SolverDiagnosticError(f"linear solve broke down (p.Ap = {p_ap:.3e})",
+                                            residual=math.sqrt(rho))
+            alpha = rho / p_ap
             x += alpha * p
             r -= alpha * ap
             np.divide(r, diag, out=z)

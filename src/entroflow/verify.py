@@ -29,6 +29,7 @@ from .analysis import (
 from .config import RunConfig
 from .entropy import check_assumptions, conjugate_values, legendre_conjugate, psi_decompose
 from .grid import ScalarField
+from .potential import certified_envelope
 from .solver import evolve, init_state
 
 
@@ -127,7 +128,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
 
     # ---- data term and Gibbs mass -----------------------------------------
     if cfg.data is not None:
-        envelope = cfg.loss.bound * cfg.data.total_mass
+        envelope = certified_envelope(cfg.data, cfg.loss)
         x = np.column_stack([rng.uniform(grid.lo[a], grid.hi[a], size=1000)
                              for a in range(grid.dim)])
         vals = np.abs(model_mod.generalization_error(x, cfg.data, cfg.loss, cfg.activation))

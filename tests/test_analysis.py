@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from entroflow import (
-    DataPoint,
     Dataset,
     EnergyRecord,
     GibbsField,
@@ -45,11 +44,7 @@ def ou_gibbs():
 @pytest.fixture(scope="module")
 def atom_gibbs():
     """Perturbed potential from three weighted atoms, parameter dimension 2."""
-    data = Dataset(points=(
-        DataPoint(z=(-0.5,), y=0.2, weight=0.1),
-        DataPoint(z=(0.0,), y=0.8, weight=0.1),
-        DataPoint(z=(0.6,), y=0.5, weight=0.1),
-    ))
+    data = Dataset(z=[[-0.5], [0.0], [0.6]], y=[0.2, 0.8, 0.5], weight=[0.1, 0.1, 0.1])
     g = build_grid(2, -7, 7, 61)
     f = build_potential(data, saturating_squared_loss(), arctan_sigmoid(), 1.0, 1.0, g)
     return normalize_gibbs(f)

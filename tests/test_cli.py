@@ -118,8 +118,9 @@ class TestConfigParsing:
         assert raw == {"a": 1, "b": 2.5, "c": "text", "d": True, "e": [1, 2]}
 
     def test_inline_comments_and_bare_strings(self):
-        raw = parse_config_text("scheme = implicit-euler  # default\n")
-        assert raw == {"scheme": "implicit-euler"}
+        raw = parse_config_text('scheme = implicit-euler  # default\n'
+                                'dataset = "data#1.csv"  # a quoted # is part of the value\n')
+        assert raw == {"scheme": "implicit-euler", "dataset": "data#1.csv"}
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -253,6 +254,19 @@ class TestRunCommand:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "Traceback" not in proc.stderr
         assert "underflows" in lines[0] and "tau = 0.01" in lines[0] and "[-6, 6]" in lines[0]
+
+    def test_underflow_without_automatic_box(self, tmp_path, capsys):
+        """At tau = 1e-8 the automatic box of the atoms dataset needs exp(2M/tau),
+        which overflows; the underflow error then suggests no box."""
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        cfg = tmp_path / "atoms.toml"
+        cfg.write_text((configs / "atoms2d.toml").read_text(encoding="utf-8")
+                       .replace('"three_atoms.csv"', repr(str(configs / "three_atoms.csv")))
+                       .replace("grid.n = [101, 101]", "grid.n = [9, 9]")
+                       .replace("tau = 1.0", "tau = 1e-8"), encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "underflows" in err[0] and "automatic" not in err[0]
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("values", ["negative", "zeros"])
@@ -401,6 +415,9 @@ ESCAPED = {
         FAST_OU.replace("solver.dt = 2e-3", "solver.dt = 0.2")
         + 'solver.scheme = "crank-nicolson"\ninitial.stdev = 0.05\n', None, ["verify"], 3),
     "pcg-goes-negative": (SMOKE_BASE + "tau = 0.01\nlambda = 0.5\n", None, ["run"], 3),
+    # a tolerance below roundoff: the search direction vanishes (p.Ap = 0)
+    "pcg-breaks-down": (SMOKE_BASE + "solver.t_final = 3.0\nsolver.linear_tol = 1e-300\n", None,
+                        ["run"], 3),
 }
 
 
@@ -435,6 +452,23 @@ def test_every_failure_is_one_line_exit_2_or_3(tmp_path, capsys, case):
     assert err[0].startswith("config error:" if code == 2 else "solver diagnostic:")
 
 
+# dataset files that ended in a traceback before they were read into
+# validated arrays: empty, a short row, and a nan feature or label
+BAD_DATASETS = {"empty": "", "short-row": "z_1,y\n0.1\n", "nan-feature": "z_1,y\nnan,0.5\n",
+                "nan-label": "z_1,y\n0.1,nan\n"}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+def test_malformed_dataset_is_one_line_exit_2(tmp_path, capsys, case):
+    (tmp_path / "d.csv").write_text(BAD_DATASETS[case], encoding="utf-8")
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text(SMOKE_BASE.replace("grid.dim = 1", "grid.dim = 2") + 'dataset = "d.csv"\n'
+                   "z_min = [-1.0]\nz_max = [1.0]\ny_min = 0.0\ny_max = 1.0\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "row " in err[0], err
+
+
 def test_sweep_pool_has_no_idle_workers(fast_config, tmp_path, monkeypatch):
     """--jobs 64 over two values asks the pool for two workers, not 64."""
     sizes = []
@@ -466,6 +500,7 @@ SMOKE_LINES = [
     "entropy.q = 2.0", 'entropy.family = "nonconvex-probe"', 'solver.scheme = "crank-nicolson"',
     'solver.scheme = "rk4"', "solver.max_iters = 1", "solver.max_iters = 1e3", "seed = -1",
     "seed = 2.5", "output.snapshot_every = 2", "solver.t_final = 0.01", "unknown.key = 1",
+    "solver.linear_tol = 1e-300",
 ]
 # --out: absent, an empty directory, an existing file, or a directory
 # holding a corrupted artifact
@@ -575,6 +610,26 @@ class TestSweepCommand:
         assert fitted[2] == pytest.approx(4.0, rel=0.05)
         assert fitted == sorted(fitted)
         assert all(r[2] >= 0.95 * r[1] for r in rows)
+
+    def test_directories_named_by_parameter_cell(self, tmp_path):
+        """Values that agree to six digits get their own directories."""
+        cfg, out = tmp_path / "smoke.toml", tmp_path / "s"
+        cfg.write_text(SMOKE_BASE, encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "sweep", "--axis", "lambda", "--values", "1,1.0000001"]) == 0
+        cells = [ln.split(",")[0] for ln in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert cells == ["1.0", "1.0000001"]
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["lambda_1.0",
+                                                                       "lambda_1.0000001"]
+
+    def test_repeated_value_is_exit_2_before_any_run(self, tmp_path, capsys):
+        cfg, out = tmp_path / "smoke.toml", tmp_path / "s"
+        cfg.write_text(SMOKE_BASE, encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "sweep", "--axis", "lambda", "--values", "2,1,2.0"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: sweep values must be distinct")
+        assert not out.exists()
 
     def test_empty_values_is_exit_2(self, fast_config, tmp_path):
         rc = main(["--config", str(fast_config), "--out", str(tmp_path / "s"),

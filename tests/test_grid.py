@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from entroflow import (
-    DataPoint,
     Dataset,
     GibbsField,
     ScalarField,
@@ -203,7 +202,7 @@ class TestWeightedOperator:
         np.testing.assert_allclose(f, brute_ww, rtol=1e-11)
         # edge-by-edge L w and Jacobi diagonal against the assembled reference,
         # with this random, a Gaussian and a dataset weight
-        data = Dataset(points=(DataPoint(z=(0.3,) * (dim - 1), y=0.6, weight=0.2),))
+        data = Dataset(z=[(0.3,) * (dim - 1)], y=[0.6], weight=[0.2])
         for weight in (gamma, build_potential(None, None, None, 1.5, 0.7, g).gamma,
                        build_potential(data, saturating_squared_loss(), arctan_sigmoid(),
                                        1.5, 0.7, g).gamma):

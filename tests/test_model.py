@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from entroflow import (
-    DataPoint,
     Dataset,
     arctan_sigmoid,
     eval_network,
@@ -19,7 +18,7 @@ from entroflow import (
 
 
 def single_point(z, y, weight=1.0):
-    return Dataset(points=(DataPoint(z=z, y=y, weight=weight),))
+    return Dataset(z=[z], y=[y], weight=[weight])
 
 
 class TestEvalNetwork:
@@ -80,7 +79,19 @@ class TestGeneralizationError:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            Dataset(points=())
+            Dataset(z=np.zeros((0, 1)), y=[], weight=[])
+
+    @pytest.mark.parametrize("z,y,weight", [
+        ([[0.1], [0.2]], [0.5], [1.0, 1.0]),  # two feature rows, one label
+        ([[0.1]], [0.5], [1.0, 1.0]),  # two weights for one atom
+        ([0.1], [0.5], [1.0]),  # features not one row per atom
+        ([[math.nan]], [0.5], [1.0]),
+        ([[0.1]], [math.inf], [1.0]),
+        ([[0.1]], [0.5], [math.nan]),
+    ])
+    def test_malformed_arrays_rejected(self, z, y, weight):
+        with pytest.raises(ValueError):
+            Dataset(z=z, y=y, weight=weight)
 
     def test_bounded_by_loss_envelope(self):
         """The weighted loss never exceeds bound * total_mass, for any parameters."""
@@ -89,11 +100,9 @@ class TestGeneralizationError:
         act = arctan_sigmoid()
         for _ in range(50):
             n = rng.integers(1, 6)
-            data = Dataset(points=tuple(
-                DataPoint(z=rng.uniform(-1, 1, size=2), y=rng.uniform(0, 1),
-                          weight=rng.uniform(0.1, 2.0))
-                for _ in range(n)
-            ))
+            z, y, weight = zip(*[(rng.uniform(-1, 1, size=2), rng.uniform(0, 1),
+                                  rng.uniform(0.1, 2.0)) for _ in range(n)])
+            data = Dataset(z=z, y=y, weight=weight)
             x = rng.normal(scale=5.0, size=(40, 3))
             vals = generalization_error(x, data, loss, act)
             assert np.all(vals >= 0)
@@ -104,7 +113,7 @@ class TestScalarParameterSpace:
     def test_empty_feature_vectors(self):
         """With a one-dimensional parameter space the feature is empty and the
         network reduces to x0 * sigma(0)."""
-        data = Dataset(points=(DataPoint(z=(), y=1.0, weight=1.0),))
+        data = Dataset(z=[[]], y=[1.0], weight=[1.0])
         assert data.feature_dim == 0
         val = generalization_error((2.0,), data, saturating_squared_loss(), arctan_sigmoid())
         assert val == pytest.approx(0.0, abs=1e-15)  # output 2 * 0.5 = 1 matches the label
@@ -119,14 +128,14 @@ class TestDatasetCsv:
         path = self._write(tmp_path / "d.csv",
                            "z_1,y,weight\n-0.5,0.2,0.3\n0.5,0.8,0.7\n")
         data = load_dataset_csv(path, [-1.0], [1.0], 0.0, 1.0)
-        assert len(data.points) == 2
+        assert len(data.y) == 2
         assert data.total_mass == pytest.approx(1.0)
-        np.testing.assert_allclose(data.points[0].z, [-0.5])
+        np.testing.assert_allclose(data.z[0], [-0.5])
 
     def test_default_weight_is_uniform(self, tmp_path):
         path = self._write(tmp_path / "d.csv", "z_1,y\n0.1,0.5\n0.2,0.6\n-0.3,0.4\n")
         data = load_dataset_csv(path, [-1.0], [1.0], 0.0, 1.0)
-        assert [p.weight for p in data.points] == pytest.approx([1 / 3] * 3)
+        assert list(data.weight) == pytest.approx([1 / 3] * 3)
 
     def test_out_of_bounds_feature_reports_row(self, tmp_path):
         path = self._write(tmp_path / "d.csv", "z_1,y\n0.1,0.5\n3.0,0.5\n")

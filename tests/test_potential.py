@@ -7,7 +7,6 @@ import pytest
 
 from entroflow import (
     Activation,
-    DataPoint,
     Dataset,
     arctan_sigmoid,
     build_grid,
@@ -25,11 +24,7 @@ from entroflow import (
 @pytest.fixture
 def atoms_1d():
     """Three weighted atoms with scalar features (parameter dimension 2)."""
-    return Dataset(points=(
-        DataPoint(z=(-0.5,), y=0.2, weight=0.1),
-        DataPoint(z=(0.0,), y=0.8, weight=0.1),
-        DataPoint(z=(0.6,), y=0.5, weight=0.1),
-    ))
+    return Dataset(z=[[-0.5], [0.0], [0.6]], y=[0.2, 0.8, 0.5], weight=[0.1, 0.1, 0.1])
 
 
 class TestBuildPotential:
@@ -67,7 +62,7 @@ class TestDataTermBound:
     def test_zero_activation_fits_everywhere(self):
         """A silent network with zero labels has zero loss at every node."""
         act = Activation("zero", np.zeros_like)
-        data = Dataset(points=(DataPoint(z=(0.2,), y=0.0, weight=1.0),))
+        data = Dataset(z=[[0.2]], y=[0.0], weight=[1.0])
         g = build_grid(2, -3, 3, 15)
         assert build_potential(data, saturating_squared_loss(), act, 1.0, 1.0, g).m_grid == 0.0
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from entroflow import (
-    DataPoint,
     Dataset,
     GibbsField,
     ScalarField,
@@ -289,7 +288,7 @@ class TestBackendSelection:
         assert op.stiffness.nnz == op.grid.num_nodes + 2 * edges
 
     def test_one_dimensional_weights_take_pcg(self, coarse_gibbs):
-        data = Dataset(points=(DataPoint(z=(), y=0.3, weight=1.0),))
+        data = Dataset(z=[[]], y=[0.3], weight=[1.0])
         g = coarse_gibbs.grid
         with_data = build_potential(data, saturating_squared_loss(), arctan_sigmoid(), 1.0, 1.0, g)
         for gibbs in (coarse_gibbs, with_data):
