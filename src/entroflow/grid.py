@@ -51,7 +51,7 @@ class Grid:
 
     @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         """Node coordinates along one axis, ``lo + arange(n) * h``."""

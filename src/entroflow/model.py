@@ -163,38 +163,50 @@ def generalization_error(x, data: Dataset, loss: Loss, act: Activation):
 def load_dataset_csv(path, z_lo, z_hi, y_lo: float, y_hi: float) -> Dataset:
     """Read weighted atoms from a CSV with header ``z_1,...,z_k,y[,weight]``.
 
-    The declared feature box and label interval are enforced on ingestion
-    (a ``nan`` is outside every interval); an empty file, a short row, a
+    The header names each of ``z_1`` to ``z_k``, ``y`` and optionally
+    ``weight`` once, in any order; any other column aborts, named.  The
+    declared feature box and label interval are enforced on ingestion (a
+    ``nan`` is outside every interval); an empty file, a row with more or
+    fewer cells than the header (a trailing empty cell counts), a
     non-numeric cell or an out-of-bounds row aborts with its row number.  A
     missing weight column assigns every atom weight ``1/n``.
     """
     z_lo = np.atleast_1d(np.asarray(z_lo, dtype=float))
     z_hi = np.atleast_1d(np.asarray(z_hi, dtype=float))
+    if z_lo.size != z_hi.size:
+        raise ValueError(f"{path}: feature bounds declare {z_lo.size} and {z_hi.size} features")
+    required = [f"z_{i + 1}" for i in range(z_lo.size)] + ["y"]
+    names = required + ["weight"]
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = [c.strip() for c in next(reader, [])]
-        if "y" not in header:
-            raise ValueError(f"{path}: row 1: header must contain a 'y' column")
-        z_cols = [i for i, c in enumerate(header) if c.startswith("z_")]
-        if len(z_cols) != z_lo.size or len(z_cols) != z_hi.size:
-            raise ValueError(
-                f"{path}: {len(z_cols)} feature columns but bounds declare {z_lo.size}"
-            )
-        cols = z_cols + [header.index(c) for c in ("y", "weight") if c in header]
+        for c in header:
+            if c not in names:
+                raise ValueError(f"{path}: row 1: column {c!r} is not one of {', '.join(names)}")
+            if header.count(c) > 1:
+                raise ValueError(f"{path}: row 1: column {c!r} appears {header.count(c)} times")
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ValueError(f"{path}: row 1: header lacks {', '.join(missing)} "
+                             f"(bounds declare {z_lo.size} features)")
+        cols = [header.index(c) for c in names if c in header]
         values, row_nos = [], []
         for row_no, row in enumerate(reader, start=2):
             if not any(c.strip() for c in row):
                 continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: row {row_no}: {len(row)} cells under a header of "
+                                 f"{len(header)} columns, got {row}")
             try:
                 values.append([float(row[i]) for i in cols])
-            except (IndexError, ValueError):
+            except ValueError:
                 raise ValueError(f"{path}: row {row_no}: expected a number in each of the "
                                  f"{len(header)} columns, got {row}") from None
             row_nos.append(row_no)
     if not values:
         raise ValueError(f"{path}: no data rows")
     table = np.array(values)
-    k = len(z_cols)
+    k = z_lo.size
     z, y = table[:, :k], table[:, k]
     for what, ok in (("feature", np.all((z_lo <= z) & (z <= z_hi), axis=1)),
                      ("label", (y_lo <= y) & (y <= y_hi))):

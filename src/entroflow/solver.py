@@ -10,17 +10,24 @@ the generator.  Crank-Nicolson is available for accuracy studies but may
 undershoot zero on rough data.
 
 The step system is constant, so it is prepared once per ``(operator, dt,
-scheme)`` in a :class:`Stepper`, which picks one of two backends from the
-weight itself:
+scheme)`` in a :class:`Stepper`, which picks one of three backends from the
+grid and the weight:
 
+* a tridiagonal LDL^T solve in 1-d, whatever the weight.  The system is
+  tridiagonal there; it is factored once, and each of the two bidiagonal
+  sweeps of a step runs as a recursive-doubling scan (Stone, J. ACM 20,
+  1973) over whole-array slices, about ``log2 n`` vector operations instead
+  of a Python loop over the nodes.  Every scan coefficient lies in (0, 1)
+  (see :func:`_tridiagonal_scans`), so the solve is exact up to roundoff,
+  in the far tail as well.
 * fast diagonalization (Lynch, Rice & Thomas, 1964) when ``dim >= 2`` and
   the Gibbs weight is a product over axes, as it is without a dataset.  The
   generalized eigenproblem ``L v = mu D v`` then splits into one small dense
   problem per axis, and a step is a diagonal scale between forward and back
   mode products with the axis eigenbases.  The solve is exact up to
   roundoff, in the far tail as well.
-* Jacobi-preconditioned conjugate gradients otherwise (1-d, and dataset
-  weights).  No matrix is built: each product ``(D + coef L) p`` applies
+* Jacobi-preconditioned conjugate gradients otherwise (dataset weights in
+  2-d and 3-d).  No matrix is built: each product ``(D + coef L) p`` applies
   ``L`` edge by edge through :meth:`WeightedOperator.apply_stiffness`, and
   the Jacobi diagonal comes from :attr:`WeightedOperator.stiffness_diagonal`.
   Preconditioning is not optional in practice: the node masses span many
@@ -98,8 +105,64 @@ def init_state(gibbs: GibbsField, w0: ScalarField) -> FlowState:
 
 
 def solver_backend(op: WeightedOperator) -> str:
-    """``"fastdiag"`` when the weight is a product over axes, else ``"pcg"``."""
+    """``"tridiag"`` in 1-d, ``"fastdiag"`` for a product-form weight, else ``"pcg"``."""
+    if op.grid.dim == 1:
+        return "tridiag"
     return "pcg" if op.axis_eigenbasis is None else "fastdiag"
+
+
+def _tridiagonal_scans(mass: np.ndarray, off: np.ndarray):
+    """Pivots and scan coefficients of ``A = D + coef L`` in 1-d, ``off = coef * cond``.
+
+    ``A`` has diagonal ``a_i = m_i + off_{i-1} + off_i`` (``off_{-1} =
+    off_{n-1} = 0``) and ``-off_i`` beside it.  Its ``LDL^T`` factors have
+    pivots ``piv_i`` and unit lower bidiagonal ``L`` with ``L_{i+1,i} =
+    -g_{i+1}``, ``g_{i+1} = off_i / piv_i``, so ``A x = b`` is the forward
+    recurrence ``y_i = b_i + g_i y_{i-1}``, the scale ``z = y / piv`` and the
+    backward recurrence ``x_i = z_i + g_{i+1} x_{i+1}``.
+
+    Every ``g_i`` lies in (0, 1) (in floats it may round to 1).  Write ``r_i = piv_i - off_i``.  Then
+    ``r_0 = m_0 > 0``, and if ``r_i > 0`` then ``piv_i > off_i > 0``, so
+    ``g_{i+1} = off_i / piv_i`` is in (0, 1) and
+
+        ``r_{i+1} = a_{i+1} - off_i g_{i+1} - off_{i+1}
+                  = m_{i+1} + off_i (1 - g_{i+1}) > 0``.
+
+    By induction every pivot exceeds its ``off_i`` and its node mass.  The
+    pivots are computed from ``r_{i+1} = m_{i+1} + off_i r_i / piv_i``,
+    which adds positive terms only; the textbook ``a_i - off^2 / piv``
+    loses digits to cancellation once ``dt / h^2`` is large.  So every
+    product of coefficients lies in (0, 1) as well, and the scans add
+    positive terms to positive terms whenever ``b >= 0``: nothing cancels
+    or overflows, a product that underflows to 0 stands for a contribution
+    below the float range, and implicit Euler maps ``w >= 0`` to
+    ``x >= 0``.
+
+    A recurrence ``y_i += g_i y_{i-1}`` runs as a recursive-doubling scan:
+    at strides ``s = 1, 2, 4, ...`` below ``n``, ``y[s:] += G_s * y[:-s]``,
+    where ``G_s[i - s]`` is the product of ``g`` over the ``s`` positions
+    ending at ``i`` (with ``g_0 = 0``).  Returns ``piv`` and the
+    ``(s, G_s)`` lists of the forward sweep and of the backward sweep,
+    which is the same scan on the reversed array.
+    """
+    n = mass.size
+    m = mass.tolist()
+    piv, r = [], m[0]
+    for m_next, c in zip(m[1:], off.tolist()):
+        piv.append(r + c)
+        r = m_next + c * (r / piv[-1])
+    piv = np.array(piv + [r])
+    g = np.zeros(n)
+    g[1:] = off / piv[:-1]
+    sweeps = []
+    for prod in (g, np.concatenate(([0.0], g[:0:-1]))):
+        scan, s = [], 1
+        while s < n:
+            scan.append((s, prod[s:].copy()))
+            prod = np.concatenate((prod[:s], prod[s:] * prod[:-s]))
+            s *= 2
+        sweeps.append(scan)
+    return piv, sweeps[0], sweeps[1]
 
 
 class Stepper:
@@ -108,9 +171,10 @@ class Stepper:
     ``advance`` maps the node array ``w`` to the next step's array.  Both
     schemes read ``D w`` on the right: implicit Euler solves
     ``(D + dt L) x = D w`` and Crank-Nicolson
-    ``(D + dt/2 L) x = (D - dt/2 L) w``.  The backend follows from the weight
-    (see :func:`solver_backend`): fast diagonalization is exact up to
-    roundoff, Jacobi PCG stops on its preconditioned residual.
+    ``(D + dt/2 L) x = (D - dt/2 L) w``.  The backend follows from the grid
+    and the weight (see :func:`solver_backend`): the tridiagonal scans and
+    fast diagonalization are exact up to roundoff, Jacobi PCG stops on its
+    preconditioned residual.
     """
 
     def __init__(self, op: WeightedOperator, dt: float, cfg: SolverConfig):
@@ -120,7 +184,13 @@ class Stepper:
         self.max_iters = cfg.max_linear_iters
         self.mass = op.node_mass
         self.coef = coef = 0.5 * dt if self.crank_nicolson else dt
-        if self.backend == "fastdiag":
+        if self.backend != "fastdiag":  # read by _system
+            self.op = op
+            self.mass_per_coef = self.mass / coef
+        if self.backend == "tridiag":
+            self.piv, self.forward_scan, self.backward_scan = _tridiagonal_scans(
+                self.mass, coef * op.axis_cond[0])
+        elif self.backend == "fastdiag":
             self.shape = op.grid.n
             self.forward = [v.T for _, v in op.axis_eigenbasis]
             self.back = [v for _, v in op.axis_eigenbasis]
@@ -132,15 +202,15 @@ class Stepper:
             # however far the eigenvectors are from D-orthonormal
             self.change = -(2.0 if self.crank_nicolson else 1.0) * coef * mu / (1.0 + coef * mu)
         else:
-            self.op = op
-            self.mass_per_coef = self.mass / coef
             # b, r, z, p and A p, written in place by _pcg
             self.buffers = [np.empty_like(self.mass) for _ in range(5)]
             self.diag = coef * op.stiffness_diagonal + self.mass
 
     def advance(self, w: np.ndarray) -> np.ndarray:
         """The node array one step after ``w``; warns if Crank-Nicolson undershoots zero."""
-        if self.backend == "fastdiag":
+        if self.backend == "tridiag":
+            x = self._tridiag(w)
+        elif self.backend == "fastdiag":
             coeffs = self._modes((self.mass * w).reshape(self.shape), self.forward)
             x = w + self._modes(self.change * coeffs, self.back).ravel()
         else:
@@ -150,6 +220,24 @@ class Stepper:
                 f"crank-nicolson step produced min(w) = {np.min(x):.3e} < 0",
                 RuntimeWarning, stacklevel=3,
             )
+        return x
+
+    def _tridiag(self, w: np.ndarray) -> np.ndarray:
+        """Solve the 1-d step system ``A x = b`` by the two prepared scans.
+
+        ``b`` is ``D w`` for implicit Euler and ``2 D w - A w`` for
+        Crank-Nicolson, as in :meth:`_pcg`.
+        """
+        x = self.mass * w
+        if self.crank_nicolson:
+            x *= 2.0
+            x -= self._system(w, np.empty_like(w))
+        for s, c in self.forward_scan:
+            x[s:] += c * x[:-s]
+        x /= self.piv
+        rev = x[::-1]
+        for s, c in self.backward_scan:
+            rev[s:] += c * rev[:-s]
         return x
 
     def _modes(self, x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:

@@ -67,11 +67,33 @@ FAST_OU_3D = (FAST_OU.replace("grid.dim = 1", "grid.dim = 3")
               .replace("solver.t_final = 0.7", "solver.t_final = 0.1")
               .replace("initial.mean = [0.5]", "initial.mean = [0.5, 0.0, -0.5]"))
 
+# the three-atom dataset weight on a 9x9 grid: 2-d and not a product over
+# axes, so it takes the PCG backend, the one that solver.max_iters and
+# solver.linear_tol govern
+ATOMS_9 = f"""\
+dataset = {str(Path(__file__).resolve().parents[1] / "configs" / "three_atoms.csv")!r}
+z_min = [-1.0]
+z_max = [1.0]
+y_min = 0.0
+y_max = 1.0
+lambda = 1.0
+tau = 1.0
+grid.dim = 2
+grid.lo = [-5.0, -5.0]
+grid.hi = [5.0, 5.0]
+grid.n = [9, 9]
+solver.dt = 0.05
+solver.t_final = 0.6
+solver.record_every = 1
+initial.kind = "gaussian"
+initial.mean = [1.0, 0.0]
+"""
+
 
 def test_run_skips_scipy_linear_algebra(tmp_path):
     """No scipy module is loaded by the CLI import, nor by run and verify on
-    either solver backend: a 1-d and a 2-d dataset config take PCG, a 3-d OU
-    config fast diagonalization.  Importing scipy.sparse and scipy.special
+    any solver backend: a 1-d config takes the tridiagonal scans, a 2-d
+    dataset config PCG, a 3-d OU config fast diagonalization.  Importing scipy.sparse and scipy.special
     about doubled the start-up time and the peak RSS of a 1-d run."""
     configs = Path(__file__).resolve().parents[1] / "configs"
     atoms = ((configs / "atoms2d.toml").read_text(encoding="utf-8")
@@ -322,12 +344,9 @@ class TestRunCommand:
         assert "conjugate_closed_form" in proc.stdout
 
     def test_solver_failure_is_exit_3(self, tmp_path):
-        # an enormous step with a single allowed iteration cannot converge
+        # a PCG solve with a single allowed iteration cannot converge
         cfg = tmp_path / "hard.toml"
-        text = (FAST_OU.replace("solver.dt = 2e-3", "solver.dt = 50.0")
-                .replace("solver.t_final = 0.7", "solver.t_final = 50.0")
-                + "solver.max_iters = 1\n")
-        cfg.write_text(text, encoding="utf-8")
+        cfg.write_text(ATOMS_9 + "solver.max_iters = 1\n", encoding="utf-8")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 3
 
     def test_determinism_byte_identical(self, fast_config, tmp_path):
@@ -403,20 +422,18 @@ ESCAPED = {
         ["rate"], 2),
     "rate-summary-not-json": (FAST_OU, {"timeseries.csv": TIMESERIES, "summary.json": "{"},
                               ["rate"], 2),
-    "sweep-worker-does-not-converge": (FAST_OU + "solver.max_iters = 1\n", None,
+    "sweep-worker-does-not-converge": (ATOMS_9 + "solver.max_iters = 1\n", None,
                                        ["--jobs", "2", *SWEEP], 3),
     "gaussian-vanishes-on-grid": (FAST_OU + "initial.stdev = 1e-6\n", None, ["run"], 2),
-    # the flow's density goes negative: Crank-Nicolson on a narrow bump, and
-    # a pointwise inaccurate PCG solve where exp(-V/tau) spans 270 decades
+    # the flow's density goes negative: Crank-Nicolson on a narrow bump
     "crank-nicolson-goes-negative": (
         FAST_OU.replace("solver.dt = 2e-3", "solver.dt = 0.2")
         + 'solver.scheme = "crank-nicolson"\ninitial.stdev = 0.05\n', None, ["run"], 3),
     "verify-crank-nicolson-goes-negative": (
         FAST_OU.replace("solver.dt = 2e-3", "solver.dt = 0.2")
         + 'solver.scheme = "crank-nicolson"\ninitial.stdev = 0.05\n', None, ["verify"], 3),
-    "pcg-goes-negative": (SMOKE_BASE + "tau = 0.01\nlambda = 0.5\n", None, ["run"], 3),
     # a tolerance below roundoff: the search direction vanishes (p.Ap = 0)
-    "pcg-breaks-down": (SMOKE_BASE + "solver.t_final = 3.0\nsolver.linear_tol = 1e-300\n", None,
+    "pcg-breaks-down": (ATOMS_9 + "solver.t_final = 30.0\nsolver.linear_tol = 1e-300\n", None,
                         ["run"], 3),
 }
 
@@ -452,10 +469,26 @@ def test_every_failure_is_one_line_exit_2_or_3(tmp_path, capsys, case):
     assert err[0].startswith("config error:" if code == 2 else "solver diagnostic:")
 
 
+def test_cold_one_dimensional_flow_stays_nonnegative(tmp_path):
+    """At tau = 0.01 the Gibbs weight spans 270 decades over 15 nodes.  PCG's
+    pointwise error in the far tail drove min(w) to -1.5e51 and exit 3; the
+    exact tridiagonal solve keeps every recorded w_min nonnegative."""
+    cfg, out = tmp_path / "cold.toml", tmp_path / "o"
+    cfg.write_text(SMOKE_BASE + "tau = 0.01\nlambda = 0.5\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
+    rows = read_timeseries(out / "timeseries.csv")
+    assert len(rows) == 13
+    assert all(r.w_min >= 0.0 for r in rows)
+
+
 # dataset files that ended in a traceback before they were read into
-# validated arrays: empty, a short row, and a nan feature or label
+# validated arrays (empty, a short row, a nan feature or label), and files
+# that ran with a cell or a column silently dropped (an extra cell, a
+# trailing empty cell, a misspelt weight column read as uniform weights)
 BAD_DATASETS = {"empty": "", "short-row": "z_1,y\n0.1\n", "nan-feature": "z_1,y\nnan,0.5\n",
-                "nan-label": "z_1,y\n0.1,nan\n"}
+                "nan-label": "z_1,y\n0.1,nan\n", "extra-cell": "z_1,y\n0.1,0.5,9.0\n",
+                "trailing-empty-cell": "z_1,y\n0.1,0.5,\n",
+                "misspelt-column": "z_1,y,wieght\n0.1,0.5,0.7\n0.2,0.5,0.1\n"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DATASETS))
@@ -551,7 +584,7 @@ class TestVerifyCommand:
     def test_max_iters_bounds_the_short_trajectory(self, tmp_path, capsys):
         """solver.max_iters reaches verify's trajectory as it reaches run's."""
         cfg = tmp_path / "one_iter.toml"
-        cfg.write_text(FAST_OU + "solver.max_iters = 1\n", encoding="utf-8")
+        cfg.write_text(ATOMS_9 + "solver.max_iters = 1\n", encoding="utf-8")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("solver diagnostic:")

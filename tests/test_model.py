@@ -151,3 +151,25 @@ class TestDatasetCsv:
         path = self._write(tmp_path / "d.csv", "z_1,y,weight\n0.1,0.5,-1.0\n")
         with pytest.raises(ValueError):
             load_dataset_csv(path, [-1.0], [1.0], 0.0, 1.0)
+
+    @pytest.mark.parametrize("text,where", [
+        ("z_1,y\n0.1,0.5\n0.1,0.5,9.0\n", "row 3"),
+        ("z_1,y\n0.1,0.5,\n", "row 2"),
+        ("z_1,y,weight\n0.1,0.5\n", "row 2"),
+        ("z_1,y,wieght\n0.1,0.5,0.7\n0.2,0.5,0.1\n", "column 'wieght'"),
+        ("z_1,z_2,y\n0.1,0.2,0.5\n", "column 'z_2'"),
+        ("z_1,y,y\n0.1,0.5,0.5\n", "column 'y'"),
+        ("y,weight\n0.5,1.0\n", "lacks z_1"),
+    ])
+    def test_cells_and_columns_match_the_header(self, tmp_path, text, where):
+        """No cell or column is dropped without a word: each mismatch is named."""
+        path = self._write(tmp_path / "d.csv", text)
+        with pytest.raises(ValueError, match=where):
+            load_dataset_csv(path, [-1.0], [1.0], 0.0, 1.0)
+
+    def test_columns_in_any_order(self, tmp_path):
+        path = self._write(tmp_path / "d.csv", "weight,y,z_2,z_1\n0.25,0.5,0.2,0.1\n0.75,0.6,-0.3,-0.4\n")
+        data = load_dataset_csv(path, [-1.0, -1.0], [1.0, 1.0], 0.0, 1.0)
+        np.testing.assert_array_equal(data.z, [[0.1, 0.2], [-0.4, -0.3]])
+        np.testing.assert_array_equal(data.y, [0.5, 0.6])
+        np.testing.assert_array_equal(data.weight, [0.25, 0.75])

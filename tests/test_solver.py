@@ -1,10 +1,13 @@
 """Flow solver: conservation, positivity, the sup bound, and the exact oracle."""
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroflow import (
     Dataset,
@@ -27,7 +30,8 @@ from entroflow import (
     saturating_squared_loss,
     evolve,
 )
-from entroflow.solver import Stepper, solver_backend
+from entroflow.grid import WeightedOperator
+from entroflow.solver import Stepper, _tridiagonal_scans, solver_backend
 from entroflow.verify import run_verification
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -41,6 +45,17 @@ ANISOTROPIC = [((9, 13), (-4.0, -5.0), (5.0, 3.0)),
 def ou_gibbs():
     g = build_grid(1, -6, 6, 401)
     return normalize_gibbs(build_potential(None, None, None, 1.0, 1.0, g))
+
+
+@pytest.fixture(scope="module")
+def atoms9_gibbs():
+    """The three-atom dataset weight on a 9x9 grid: 2-d and not a product, so it takes PCG."""
+    cfg = resolve_config({
+        "dataset": "three_atoms.csv", "z_min": [-1.0], "z_max": [1.0], "y_min": 0.0,
+        "y_max": 1.0, "lambda": 1.0, "tau": 1.0, "grid.dim": 2, "grid.lo": [-5.0, -5.0],
+        "grid.hi": [5.0, 5.0], "grid.n": [9, 9], "solver.dt": 0.05, "solver.t_final": 0.6,
+    }, base_dir=CONFIGS)
+    return cfg.build_gibbs()
 
 
 @pytest.fixture(scope="module")
@@ -122,9 +137,9 @@ class TestStep:
         mean = integrate(ScalarField(ou_gibbs.grid, x * state.w.values), weight=ou_gibbs.gamma)
         assert mean == pytest.approx(0.5 * math.exp(-1.0), rel=1e-2)
 
-    def test_nonconvergence_diagnostic(self, coarse_gibbs):
+    def test_nonconvergence_diagnostic(self, atoms9_gibbs):
         cfg = SolverConfig(dt=50.0, t_final=100.0, linear_tol=1e-14, max_linear_iters=1)
-        state = init_state(coarse_gibbs, ou_relative_density(coarse_gibbs.grid, 0.5, 1.0, 1.0, 0.0))
+        state = init_state(atoms9_gibbs, ou_relative_density(atoms9_gibbs.grid, 0.5, 1.0, 1.0, 0.0))
         with pytest.raises(SolverDiagnosticError) as exc_info:
             evolve(state, cfg)
         assert exc_info.value.residual > 0
@@ -204,6 +219,12 @@ def gaussian_gibbs(n, lo, hi, lam=1.0, tau=1.0):
     return normalize_gibbs(build_potential(None, None, None, lam, tau, g))
 
 
+def dataset_gibbs_1d(grid):
+    """A one-atom dataset weight with no features: a 1-d parameter space."""
+    data = Dataset(z=[[]], y=[0.3], weight=[1.0])
+    return build_potential(data, saturating_squared_loss(), arctan_sigmoid(), 1.0, 1.0, grid)
+
+
 class TestFastDiagonalization:
     @pytest.mark.filterwarnings("ignore:crank-nicolson step produced")
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
@@ -250,6 +271,111 @@ class TestFastDiagonalization:
             evolve(state, SolverConfig(dt=0.5, t_final=0.5, scheme="crank-nicolson"))
 
 
+def abs_system(op, coef, v):
+    """``(D + coef |L|) |v|``: the size of the terms that make up ``A v`` at each node."""
+    size = (op.node_mass + coef * op.stiffness_diagonal) * np.abs(v)
+    (s,), (cond,) = op.strides, op.axis_cond
+    size[:-s] += coef * cond * np.abs(v[s:])
+    size[s:] += coef * cond * np.abs(v[:-s])
+    return size
+
+
+def one_dimensional_operator(kind, log_gamma):
+    """The operator of a 1-d weight: ``exp(log_gamma)`` at the nodes, a dataset
+    weight, or the Gaussian at tau = 0.01, which spans 270 decades over 15 nodes."""
+    if kind == "random":
+        g = build_grid(1, -3.0, 3.0, len(log_gamma))
+        return WeightedOperator(g, ScalarField(g, np.exp(np.array(log_gamma) - max(log_gamma))))
+    if kind == "dataset":
+        return dataset_gibbs_1d(build_grid(1, -6.0, 6.0, 41)).operator()
+    return gaussian_gibbs((15,), -5.0, 5.0, lam=0.5, tau=0.01).operator()
+
+
+class TestTridiagonal:
+    @pytest.mark.filterwarnings("ignore:crank-nicolson step produced")
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["random", "dataset", "cold"]),
+           log_gamma=st.lists(st.floats(-300.0, 0.0), min_size=3, max_size=60),
+           dt=st.floats(1e-3, 1e4), scheme=st.sampled_from(["implicit-euler", "crank-nicolson"]),
+           seed=st.integers(0, 2**16))
+    def test_solve_residual_below_roundoff(self, kind, log_gamma, dt, scheme, seed):
+        """The residual of ``A x = b``, applied edge by edge, is roundoff.
+
+        It is measured against the size of the terms that make up
+        ``b = A x``, which is ``b`` itself up to a factor that grows with
+        ``dt / h^2``; for ``dt <= 0.1`` it is also below 1e-14 of ``b``.
+        With implicit Euler ``b = D w`` and ``x`` are positive, and the bound
+        holds node by node, in the far tail as well: that needs pivots
+        computed without cancellation once ``dt / h^2`` is large.
+        """
+        op = one_dimensional_operator(kind, log_gamma)
+        assert solver_backend(op) == "tridiag"
+        stepper = Stepper(op, dt, SolverConfig(dt=dt, t_final=1.0, scheme=scheme))
+        w = np.exp(np.random.default_rng(seed).normal(size=op.grid.num_nodes))
+        x = stepper.advance(w)
+        coef, mass = stepper.coef, op.node_mass
+        b = mass * w
+        if scheme == "crank-nicolson":
+            b -= coef * op.apply_stiffness(w)
+        residual = np.abs(coef * op.apply_stiffness(x) + mass * x - b)
+        size = abs_system(op, coef, x)
+        assert np.max(residual) <= 1e-14 * np.max(size)
+        if dt <= 0.1:
+            assert np.max(residual) <= 1e-14 * np.max(np.abs(b))
+        if scheme == "implicit-euler":
+            assert np.all(x > 0)
+            assert np.all(residual <= 1e-14 * size)
+
+    @pytest.mark.parametrize("kind", ["random", "dataset", "cold"])
+    def test_implicit_euler_keeps_sign(self, kind):
+        """A nonnegative density with zeros stays nonnegative, however wide the weight."""
+        # neighbouring random weights 250 decades apart
+        op = one_dimensional_operator(kind, [0.0, -575.0] * 12 + [0.0])
+        n = op.grid.num_nodes
+        w = np.zeros(n)
+        w[[0, n // 2, n - 1]] = [1.0, 1e-300, 5.0]
+        for dt in (1e-3, 1.0, 1e3):
+            x = Stepper(op, dt, SolverConfig(dt=dt, t_final=1.0)).advance(w)
+            assert np.all(x >= 0.0) and np.all(np.isfinite(x))
+
+    def test_pivots_exact_to_roundoff(self):
+        """The pivots match the exact rational LDL^T pivots of the float system to
+        1e-14, at a step size where ``a_i - off^2 / piv`` in floats is off by 1e-8."""
+        g = build_grid(1, -3.0, 3.0, 25)
+        op = WeightedOperator(g, ScalarField(g, np.exp(np.r_[np.zeros(12), np.full(13, -460.0)])))
+        mass, off = op.node_mass, 1e8 * op.axis_cond[0]
+        piv, *_ = _tridiagonal_scans(mass, off)
+        m, c = [Fraction(v) for v in mass], [Fraction(v) for v in off] + [Fraction(0)]
+        exact = [m[0] + c[0]]
+        for i in range(1, len(m)):
+            exact.append(m[i] + c[i - 1] + c[i] - c[i - 1] ** 2 / exact[-1])
+        assert max(abs(p / float(e) - 1.0) for p, e in zip(piv, exact)) <= 1e-14
+
+    @pytest.mark.filterwarnings("ignore:crank-nicolson step produced")
+    def test_matches_dense_solve(self, coarse_gibbs):
+        op = coarse_gibbs.operator()
+        w = np.exp(np.random.default_rng(3).normal(size=op.grid.num_nodes))
+        for scheme in ("implicit-euler", "crank-nicolson"):
+            stepper = Stepper(op, 0.05, SolverConfig(dt=0.05, t_final=1.0, scheme=scheme))
+            a = np.diag(op.node_mass) + stepper.coef * op.stiffness.toarray()
+            b = op.node_mass * w
+            if scheme == "crank-nicolson":
+                b = 2.0 * b - a @ w
+            ref = np.linalg.solve(a, b)
+            assert np.max(np.abs(stepper.advance(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_mass_drift_on_bundled_config(self):
+        """3000 implicit-Euler steps of configs/ou_shannon.toml conserve mass to 1e-12."""
+        cfg = load_config(CONFIGS / "ou_shannon.toml")
+        gibbs = cfg.build_gibbs()
+        op = gibbs.operator()
+        masses = []
+        _, n_steps = evolve(init_state(gibbs, cfg.initial_density(gibbs)), cfg.solver_config(),
+                            observer=lambda t, w: masses.append(op.inner(w.values, 1.0)))
+        assert n_steps == 3000 and solver_backend(op) == "tridiag"
+        assert max(abs(m - 1.0) for m in masses) <= 1e-12
+
+
 class TestBackendSelection:
     @pytest.mark.parametrize("n,lo,hi", ANISOTROPIC)
     def test_gaussian_weights_take_fast_diagonalization(self, n, lo, hi):
@@ -287,14 +413,11 @@ class TestBackendSelection:
         edges = (n[0] - 1) * n[1] + n[0] * (n[1] - 1)
         assert op.stiffness.nnz == op.grid.num_nodes + 2 * edges
 
-    def test_one_dimensional_weights_take_pcg(self, coarse_gibbs):
-        data = Dataset(z=[[]], y=[0.3], weight=[1.0])
-        g = coarse_gibbs.grid
-        with_data = build_potential(data, saturating_squared_loss(), arctan_sigmoid(), 1.0, 1.0, g)
-        for gibbs in (coarse_gibbs, with_data):
+    def test_one_dimensional_weights_take_tridiag(self, coarse_gibbs):
+        for gibbs in (coarse_gibbs, dataset_gibbs_1d(coarse_gibbs.grid)):
             op = gibbs.operator()
-            assert solver_backend(op) == "pcg"
-            assert Stepper(op, 1e-2, SolverConfig(dt=1e-2, t_final=1.0)).backend == "pcg"
+            assert solver_backend(op) == "tridiag"
+            assert Stepper(op, 1e-2, SolverConfig(dt=1e-2, t_final=1.0)).backend == "tridiag"
 
 
 class TestConfigValidation:
