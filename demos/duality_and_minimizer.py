@@ -10,7 +10,7 @@ import numpy as np
 import entroflow as ef
 
 grid = ef.build_grid(1, -6.0, 6.0, 401)
-gibbs = ef.normalize_gibbs(ef.build_potential(None, None, None, 1.0, 1.0, grid))
+gibbs = ef.build_potential(None, None, None, 1.0, 1.0, grid)
 gen = ef.make_tsallis(2.0, 1.0)
 rng = np.random.default_rng(7)
 

@@ -16,7 +16,7 @@ data = Dataset(z=[[-0.5], [0.0], [0.6]], y=[0.2, 0.8, 0.5], weight=[0.1, 0.1, 0.
 loss, act = saturating_squared_loss(), arctan_sigmoid()
 
 grid = ef.build_grid(2, -7.0, 7.0, 101)
-gibbs = ef.normalize_gibbs(ef.build_potential(data, loss, act, lam, tau, grid))
+gibbs = ef.build_potential(data, loss, act, lam, tau, grid)
 print(f"data-term bound on the grid : M = {gibbs.m_grid:.5f}")
 print(f"certified global envelope   : {gibbs.m_envelope:.5f}")
 print(f"raw Gibbs mass {gibbs.Z_raw:.5f} <= finiteness bound {gibbs.mass_bound():.5f}\n")

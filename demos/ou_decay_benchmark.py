@@ -14,7 +14,7 @@ lam = tau = 1.0
 m0 = 0.5
 
 grid = ef.build_grid(1, -6.0, 6.0, 401)
-gibbs = ef.normalize_gibbs(ef.build_potential(None, None, None, lam, tau, grid))
+gibbs = ef.build_potential(None, None, None, lam, tau, grid)
 gen = ef.make_shannon(tau)
 
 state = ef.init_state(gibbs, ef.ou_relative_density(grid, m0, lam, tau, 0.0))

@@ -30,13 +30,13 @@ rng = np.random.default_rng(42)
 
 # clean Gaussian reference weight
 grid1 = ef.build_grid(1, -6.0, 6.0, 401)
-clean = ef.normalize_gibbs(ef.build_potential(None, None, None, lam, tau, grid1))
+clean = ef.build_potential(None, None, None, lam, tau, grid1)
 
 # the same regularizer plus three weighted atoms
 data = Dataset(z=[[-0.5], [0.0], [0.6]], y=[0.2, 0.8, 0.5], weight=[0.1, 0.1, 0.1])
 grid2 = ef.build_grid(2, -7.0, 7.0, 61)
-perturbed = ef.normalize_gibbs(ef.build_potential(
-    data, saturating_squared_loss(), arctan_sigmoid(), lam, tau, grid2))
+perturbed = ef.build_potential(data, saturating_squared_loss(), arctan_sigmoid(), lam, tau,
+                               grid2)
 
 for label, gibbs in (("clean Gaussian", clean), ("three-atom potential", perturbed)):
     bound = math.exp(2 * gibbs.m_grid / tau) * tau / (2 * lam)

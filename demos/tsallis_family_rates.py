@@ -9,7 +9,7 @@ import entroflow as ef
 
 lam = tau = 1.0
 grid = ef.build_grid(1, -6.0, 6.0, 401)
-gibbs = ef.normalize_gibbs(ef.build_potential(None, None, None, lam, tau, grid))
+gibbs = ef.build_potential(None, None, None, lam, tau, grid)
 
 generators = {
     "shannon": ef.make_shannon(tau),

@@ -56,13 +56,7 @@ from .model import (
     tanh_sigmoid,
     zero_loss,
 )
-from .potential import (
-    GibbsField,
-    build_potential,
-    certified_envelope,
-    default_box,
-    normalize_gibbs,
-)
+from .potential import GibbsField, build_potential, certified_envelope, default_box
 from .solver import FlowState, SolverConfig, SolverDiagnosticError, evolve, init_state
 
 __version__ = "0.1.0"

@@ -135,13 +135,11 @@ def lambda_rate(lam: float, tau: float, m_bound: float) -> float:
 
 
 def sobolev_ratio(w: ScalarField, gibbs: GibbsField, gen: EntropyGenerator) -> float | None:
-    """Energy-to-Fisher ratio of a unit-mass density on a normalized weight.
+    """Energy-to-Fisher ratio of a unit-mass density on the Gibbs weight.
 
     Returns ``None`` for (near-)constant densities, where both sides vanish.
     The theory bounds the ratio by ``exp(2 M / tau) * tau / (2 lam)``.
     """
-    if not gibbs.normalized:
-        raise ValueError("the ratio bound is stated for the normalized Gibbs weight")
     mass = gibbs.operator().inner(w.values, np.ones_like(w.values))
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"density must have unit weighted mass, got {mass}")
@@ -155,9 +153,10 @@ def compute_minimizer(gibbs: GibbsField, gen: EntropyGenerator) -> tuple[ScalarF
     """Constant minimizing density ``1/Z`` and its energy.
 
     Strict convexity plus the unit-mass constraint force the minimizer to be
-    constant; its energy equals ``Z * phi(1/Z)``, which is zero in normalized
-    mode.  The returned energy is evaluated by the same quadrature as
-    :func:`energy`, so the certificate ``energy(w) >= E_star`` is exact.
+    constant; its energy equals ``Z * phi(1/Z)``, zero up to roundoff since the
+    weight has unit mass ``Z``.  The returned energy is evaluated by the same
+    quadrature as :func:`energy`, so the certificate ``energy(w) >= E_star``
+    is exact.
     """
     w_star = constant_field(gibbs.grid, 1.0 / gibbs.Z)
     return w_star, energy(w_star, gibbs, gen)

@@ -104,7 +104,6 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> dict:
         "M_envelope": gibbs.m_envelope,
         "Z": gibbs.Z,
         "Z_raw": gibbs.Z_raw,
-        "normalized": gibbs.normalized,
         "lambda_theory": theory,
         "E_star": e_star,
         "E_initial": records[0].energy if records else None,
@@ -177,8 +176,7 @@ def cmd_minimizer(cfg: RunConfig, out_dir: Path) -> int:
     w_star, e_star = compute_minimizer(gibbs, cfg.generator)
     field_to_csv(w_star, out_dir / "minimizer.csv")
     _write_json(out_dir / "minimizer.json", {
-        "E_star": e_star, "Z": gibbs.Z, "normalized": gibbs.normalized,
-        "constant_value": float(w_star.values[0]),
+        "E_star": e_star, "Z": gibbs.Z, "constant_value": float(w_star.values[0]),
     })
     print(f"minimizer is the constant density {float(w_star.values[0])!r} with energy {e_star!r}")
     return EXIT_OK

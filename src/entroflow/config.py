@@ -10,7 +10,6 @@ accepted as an alternative.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import re
@@ -22,13 +21,7 @@ import numpy as np
 from . import entropy as entropy_mod
 from . import model as model_mod
 from .grid import Grid, ScalarField, build_grid, field_from_csv
-from .potential import (
-    GibbsField,
-    build_potential,
-    certified_envelope,
-    default_box,
-    normalize_gibbs,
-)
+from .potential import GibbsField, build_potential, certified_envelope, default_box
 from .solver import SolverConfig
 
 
@@ -126,7 +119,6 @@ class RunConfig:
     initial_mean: list[float]
     initial_stdev: float
     initial_path: Path | None
-    normalize_gamma: bool
     seed: int
     snapshot_every: int
 
@@ -138,19 +130,11 @@ class RunConfig:
         )
 
     def build_gibbs(self) -> GibbsField:
-        fieldv = build_potential(self.data, self.loss, self.activation, self.lam, self.tau,
-                                 self.grid)
-        if np.min(fieldv.gamma.values) < np.finfo(float).tiny:
-            box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(self.grid.lo, self.grid.hi))
-            hint = ""
-            with contextlib.suppress(OverflowError):  # exp(2M/tau) overflows: no automatic box
-                lo, hi = default_box(self.lam, self.tau, self.grid.dim, fieldv.m_envelope)
-                hint = f", e.g. the automatic [{lo:g}, {hi:g}] per axis (omit grid.lo and grid.hi)"
-            raise ConfigError(
-                f"Gibbs weight exp(-V/tau) underflows on the box {box} at tau = {self.tau:g}; "
-                f"choose another box{hint}"
-            )
-        return normalize_gibbs(fieldv) if self.normalize_gamma else fieldv
+        try:
+            return build_potential(self.data, self.loss, self.activation, self.lam, self.tau,
+                                   self.grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def initial_density(self, gibbs: GibbsField) -> ScalarField:
         grid = gibbs.grid
@@ -164,8 +148,13 @@ class RunConfig:
                 raise ConfigError(
                     f"initial.mean has {mean.size} entries for a {grid.dim}-dimensional grid"
                 )
+            try:
+                var = self.initial_stdev**2
+            except OverflowError as exc:
+                raise ConfigError(f"initial.stdev = {self.initial_stdev:g} is too large: "
+                                  f"its square overflows") from exc
             diff = grid.nodes - mean[None, :]
-            bump = np.exp(-0.5 * np.sum(diff**2, axis=1) / self.initial_stdev**2)
+            bump = np.exp(-0.5 * np.sum(diff**2, axis=1) / var)
             if not np.any(bump > 0):
                 raise ConfigError("the initial gaussian underflows to 0 at every node")
             return ScalarField(grid, bump / gibbs.gamma.values)
@@ -229,6 +218,9 @@ def resolve_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         for key, value in (("lambda", lam), ("tau", tau)):
             if not value > 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
+        if not math.isfinite(tau / lam):  # sqrt(tau/lambda) scales initial.stdev and the box
+            raise ConfigError(f"lambda = {lam!r} is too small for tau = {tau!r}: "
+                              f"tau/lambda overflows")
         dim = _number(raw, "grid.dim", int)
         if dim not in (1, 2, 3):
             raise ConfigError(f"grid.dim must be 1, 2 or 3, got {dim}")
@@ -269,8 +261,8 @@ def resolve_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
             raise ConfigError(f"unknown initial density kind {kind!r}")
 
         normalize_gamma = raw.pop("normalize_gamma", True)
-        if not isinstance(normalize_gamma, bool):
-            raise ConfigError(f"normalize_gamma must be true or false, got {normalize_gamma!r}")
+        if normalize_gamma is not True:  # the flow always runs on the normalized weight
+            raise ConfigError(f"normalize_gamma must be true, got {normalize_gamma!r}")
         family = str(raw.pop("entropy.family", "shannon"))
         cfg = RunConfig(
             lam=lam,
@@ -283,14 +275,13 @@ def resolve_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
             dt=_number(raw, "solver.dt"),
             t_final=_number(raw, "solver.t_final"),
             scheme=str(raw.pop("solver.scheme", "implicit-euler")),
-            record_every=_number(raw, "solver.record_every", int, 10),
-            linear_tol=_number(raw, "solver.linear_tol", float, 1e-12),
-            max_linear_iters=_number(raw, "solver.max_iters", int, 2000),
+            record_every=_number(raw, "solver.record_every", int, SolverConfig.record_every),
+            linear_tol=_number(raw, "solver.linear_tol", float, SolverConfig.linear_tol),
+            max_linear_iters=_number(raw, "solver.max_iters", int, SolverConfig.max_linear_iters),
             initial_kind=kind,
             initial_mean=_number(raw, "initial.mean", float, [0.0], many=True),
             initial_stdev=_number(raw, "initial.stdev", float, np.sqrt(tau / lam)),
             initial_path=init_path if kind == "from-file" else None,
-            normalize_gamma=normalize_gamma,
             seed=_number(raw, "seed", int, 0),
             snapshot_every=_number(raw, "output.snapshot_every", int, 0),
         )

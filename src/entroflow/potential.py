@@ -1,16 +1,18 @@
-"""The linearized potential and its Gibbs reference weight on the grid.
+"""The linearized potential and its normalized Gibbs reference weight on the grid.
 
 The potential is the generalization error of the network plus a quadratic
 regularizer ``(lam/2) |x|^2``; because it does not depend on the evolving
-measure, the flow it drives is linear.  The reference weight is
-``exp(-V / tau)``, whose total mass is finite and bounded by
-``exp(M / tau) * (2 pi tau / lam)^(d/2)`` where ``M`` bounds the data term.
-Normalization shifts the potential by a constant, which leaves the flow
-untouched while making the total mass exactly one.
+measure, the flow it drives is linear.  The raw weight ``exp(-V / tau)`` has
+finite total mass ``Z_raw``, bounded by ``exp(M / tau) * (2 pi tau / lam)^(d/2)``
+where ``M`` bounds the data term.  Every flow runs on the Gibbs probability
+measure ``gamma = exp(-V / tau) / Z_raw``, the weight the paper's convergence
+theorem is stated for; ``build_potential`` alone decides it, and rejects a
+box on which the raw weight underflows.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -22,18 +24,16 @@ from .model import Activation, Dataset, Loss, generalization_error
 
 @dataclass
 class GibbsField:
-    """Grid-sampled potential and its Gibbs weight.
+    """The normalized Gibbs weight of the potential on the grid.
 
     Attributes
     ----------
-    V : ScalarField
-        Potential values at the nodes.
     gamma : ScalarField
-        ``exp(-V / tau)`` at the nodes, strictly positive.
+        ``exp(-V / tau) / Z_raw`` at the nodes, strictly positive.
     Z : float
-        Current total mass of ``gamma`` over the box.
+        Total mass of ``gamma`` over the box: one up to roundoff.
     Z_raw : float
-        Mass before any normalization; the finiteness bound applies to it.
+        Mass of ``exp(-V / tau)``; the finiteness bound applies to it.
     m_grid : float
         Max of ``|data term|`` over the nodes (tight bound, default for the
         theoretical rate).
@@ -42,7 +42,6 @@ class GibbsField:
     """
 
     grid: Grid
-    V: ScalarField
     gamma: ScalarField
     Z: float
     Z_raw: float
@@ -50,7 +49,6 @@ class GibbsField:
     m_envelope: float
     lam: float
     tau: float
-    normalized: bool = False
     _operator: WeightedOperator | None = field(default=None, repr=False)
 
     def operator(self) -> WeightedOperator:
@@ -59,10 +57,10 @@ class GibbsField:
             self._operator = WeightedOperator(self.grid, self.gamma)
         return self._operator
 
-    def mass_bound(self, use_envelope: bool = False) -> float:
-        """Finiteness envelope ``exp(M/tau) * (2 pi tau / lam)^(d/2)``."""
-        m = self.m_envelope if use_envelope else self.m_grid
-        return math.exp(m / self.tau) * (2.0 * math.pi * self.tau / self.lam) ** (self.grid.dim / 2.0)
+    def mass_bound(self) -> float:
+        """Finiteness envelope ``exp(m_grid/tau) * (2 pi tau / lam)^(d/2)`` of ``Z_raw``."""
+        gauss = (2.0 * math.pi * self.tau / self.lam) ** (self.grid.dim / 2.0)
+        return math.exp(self.m_grid / self.tau) * gauss
 
 
 def certified_envelope(data: Dataset | None, loss: Loss | None) -> float:
@@ -74,10 +72,14 @@ def certified_envelope(data: Dataset | None, loss: Loss | None) -> float:
 
 def build_potential(data: Dataset | None, loss: Loss | None, act: Activation | None,
                     lam: float, tau: float, grid: Grid) -> GibbsField:
-    """Sample the potential and Gibbs weight on the grid.
+    """Sample the potential and its normalized Gibbs weight on the grid.
 
     With ``data=None`` the potential is the pure quadratic ``(lam/2)|x|^2``
-    and the reference weight is an (unnormalized) Gaussian.
+    and the reference weight is a Gaussian.  The weight is
+    ``exp(-(V + tau ln Z_raw) / tau)``: shifting ``V`` by a constant leaves
+    the flow untouched and makes the total mass one.  Raises ``ValueError``
+    for a nonpositive ``lam`` or ``tau``, and when ``exp(-V/tau)`` falls
+    below the smallest normal float at some node of the box.
     """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
@@ -88,44 +90,28 @@ def build_potential(data: Dataset | None, loss: Loss | None, act: Activation | N
         gen_err = generalization_error(nodes, data, loss, act)
     else:
         gen_err = np.zeros(grid.num_nodes)
+    m_envelope = certified_envelope(data, loss)
     v = gen_err + 0.5 * lam * np.sum(nodes**2, axis=1)
-    gamma = ScalarField(grid, np.exp(-v / tau))
-    z = integrate(gamma)
+    raw = np.exp(-v / tau)
+    if np.min(raw) < np.finfo(float).tiny:
+        box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(grid.lo, grid.hi))
+        hint = ""
+        with contextlib.suppress(OverflowError):  # exp(2M/tau) overflows: no automatic box
+            lo, hi = default_box(lam, tau, grid.dim, m_envelope)
+            hint = f", e.g. the automatic [{lo:g}, {hi:g}] per axis (omit grid.lo and grid.hi)"
+        raise ValueError(f"Gibbs weight exp(-V/tau) underflows on the box {box} at "
+                         f"tau = {tau:g}; choose another box{hint}")
+    z_raw = integrate(ScalarField(grid, raw))
+    gamma = ScalarField(grid, np.exp(-(v + tau * math.log(z_raw)) / tau))
     return GibbsField(
         grid=grid,
-        V=ScalarField(grid, v),
-        gamma=gamma,
-        Z=z,
-        Z_raw=z,
-        m_grid=max(float(np.max(np.abs(gen_err))), 0.0),
-        m_envelope=certified_envelope(data, loss),
-        lam=float(lam),
-        tau=float(tau),
-        normalized=False,
-    )
-
-
-def normalize_gibbs(fieldv: GibbsField) -> GibbsField:
-    """Shift the potential so the Gibbs weight has unit mass.
-
-    ``V <- V + tau * ln Z`` rescales ``gamma`` by ``1/Z``; a constant shift
-    of ``V`` leaves the flow generated downstream identical.  Applying the
-    operation twice is idempotent up to roundoff.
-    """
-    z = fieldv.Z
-    v = ScalarField(fieldv.grid, fieldv.V.values + fieldv.tau * math.log(z))
-    gamma = ScalarField(fieldv.grid, np.exp(-v.values / fieldv.tau))
-    return GibbsField(
-        grid=fieldv.grid,
-        V=v,
         gamma=gamma,
         Z=integrate(gamma),
-        Z_raw=fieldv.Z_raw,
-        m_grid=fieldv.m_grid,
-        m_envelope=fieldv.m_envelope,
-        lam=fieldv.lam,
-        tau=fieldv.tau,
-        normalized=True,
+        Z_raw=z_raw,
+        m_grid=max(float(np.max(np.abs(gen_err))), 0.0),
+        m_envelope=m_envelope,
+        lam=float(lam),
+        tau=float(tau),
     )
 
 

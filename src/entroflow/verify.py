@@ -201,18 +201,17 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
         f"min duality gap {dual_margin:.3e}; equality defect at the gradient {eq_gap:.2e}",
     ))
 
-    if gibbs.normalized:
-        bound_ratio = math.exp(2.0 * gibbs.m_grid / gibbs.tau) * gibbs.tau / (2.0 * gibbs.lam)
-        ratio_worst = 0.0
-        for _ in range(100):
-            w = _smooth_density(gibbs, rng)
-            ratio = sobolev_ratio(w, gibbs, gen)
-            if ratio is not None:
-                ratio_worst = max(ratio_worst, ratio)
-        results.append(CheckResult(
-            "energy.sobolev_ratio_bound", ratio_worst <= bound_ratio, bound_ratio - ratio_worst,
-            f"max ratio over 100 densities {ratio_worst:.6f} vs bound {bound_ratio:.6f}",
-        ))
+    bound_ratio = math.exp(2.0 * gibbs.m_grid / gibbs.tau) * gibbs.tau / (2.0 * gibbs.lam)
+    ratio_worst = 0.0
+    for _ in range(100):
+        w = _smooth_density(gibbs, rng)
+        ratio = sobolev_ratio(w, gibbs, gen)
+        if ratio is not None:
+            ratio_worst = max(ratio_worst, ratio)
+    results.append(CheckResult(
+        "energy.sobolev_ratio_bound", ratio_worst <= bound_ratio, bound_ratio - ratio_worst,
+        f"max ratio over 100 densities {ratio_worst:.6f} vs bound {bound_ratio:.6f}",
+    ))
 
     # ---- a short trajectory -------------------------------------------------
     short = replace(cfg.solver_config(), t_final=min(cfg.t_final, 200.0 * cfg.dt),

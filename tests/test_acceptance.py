@@ -32,7 +32,6 @@ from entroflow import (
     legendre_conjugate,
     make_shannon,
     make_tsallis,
-    normalize_gibbs,
     ou_relative_density,
     psi_decompose,
     snapshot,
@@ -287,7 +286,7 @@ def test_criterion_10_entropy_unit_suite(ou_run, atoms_run):
 
 def _ou_l1_error(n, dt, scheme, t_final=1.0):
     g = build_grid(1, -6, 6, n)
-    gibbs = normalize_gibbs(build_potential(None, None, None, 1.0, 1.0, g))
+    gibbs = build_potential(None, None, None, 1.0, 1.0, g)
     state = init_state(gibbs, ou_relative_density(g, 0.5, 1.0, 1.0, 0.0))
     final, _ = evolve(state, SolverConfig(dt=dt, t_final=t_final, scheme=scheme))
     exact = ou_relative_density(g, 0.5, 1.0, 1.0, t_final)

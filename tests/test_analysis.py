@@ -26,7 +26,6 @@ from entroflow import (
     lambda_rate,
     make_shannon,
     make_tsallis,
-    normalize_gibbs,
     ou_oracle,
     ou_relative_density,
     saturating_squared_loss,
@@ -38,7 +37,7 @@ from entroflow import (
 @pytest.fixture(scope="module")
 def ou_gibbs():
     g = build_grid(1, -6, 6, 401)
-    return normalize_gibbs(build_potential(None, None, None, 1.0, 1.0, g))
+    return build_potential(None, None, None, 1.0, 1.0, g)
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +45,7 @@ def atom_gibbs():
     """Perturbed potential from three weighted atoms, parameter dimension 2."""
     data = Dataset(z=[[-0.5], [0.0], [0.6]], y=[0.2, 0.8, 0.5], weight=[0.1, 0.1, 0.1])
     g = build_grid(2, -7, 7, 61)
-    f = build_potential(data, saturating_squared_loss(), arctan_sigmoid(), 1.0, 1.0, g)
-    return normalize_gibbs(f)
+    return build_potential(data, saturating_squared_loss(), arctan_sigmoid(), 1.0, 1.0, g)
 
 
 def random_positive_density(gibbs, rng, roughness=0.6, modes=4):
@@ -119,7 +117,7 @@ class TestFisher:
         errors = []
         for n in (101, 201, 401):
             g = build_grid(1, -6, 6, n)
-            gibbs = normalize_gibbs(build_potential(None, None, None, 1.0, 1.0, g))
+            gibbs = build_potential(None, None, None, 1.0, 1.0, g)
             w = init_state(gibbs, ou_relative_density(g, 0.5, 1.0, 1.0, 0.0)).w
             errors.append(abs(fisher(w, gibbs, make_shannon(1.0)) - exact))
         orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
@@ -205,12 +203,6 @@ class TestSobolevRatio:
             if ratio is not None:
                 assert ratio <= factor * 0.5 * (1 + 1e-12)
 
-    def test_unnormalized_rejected(self):
-        g = build_grid(1, -6, 6, 101)
-        gibbs = build_potential(None, None, None, 1.0, 1.0, g)
-        with pytest.raises(ValueError):
-            sobolev_ratio(constant_field(g, 1.0 / gibbs.Z), gibbs, make_shannon(1.0))
-
 
 class TestMinimizer:
     def test_normalized_minimizer_is_unit(self, ou_gibbs):
@@ -221,10 +213,9 @@ class TestMinimizer:
     def test_unnormalized_constant_weight(self):
         """On a flat potential with total mass 2 the floor energy is 2*phi(1/2)."""
         g = build_grid(1, 0, 1, 51)
-        v = constant_field(g, -math.log(2.0))
-        gamma = ScalarField(g, np.exp(-v.values))
+        gamma = ScalarField(g, np.full(g.num_nodes, 2.0))
         gibbs = GibbsField(
-            grid=g, V=v, gamma=gamma,
+            grid=g, gamma=gamma,
             Z=2.0, Z_raw=2.0, m_grid=0.0, m_envelope=0.0, lam=1.0, tau=1.0,
         )
         w_star, e_star = compute_minimizer(gibbs, make_tsallis(2.0, 1.0))

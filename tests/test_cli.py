@@ -229,7 +229,10 @@ INVALID = [
     ({"seed": -1}, "seed must be nonnegative"),
     ({"solver.sheme": "crank-nicolson"}, "unknown config key(s) 'solver.sheme'"),
     ({"entropy.tau": 2.0}, "unknown config key(s) 'entropy.tau'"),
-    ({"normalize_gamma": "false"}, "normalize_gamma must be true or false"),
+    ({"normalize_gamma": "false"}, "normalize_gamma must be true"),
+    ({"normalize_gamma": False}, "normalize_gamma must be true"),
+    # tau/lambda overflows: sqrt(tau/lambda), the default initial.stdev and box scale, is inf
+    ({"lambda": 1e-310}, "lambda = 1e-310 is too small for tau = 1.0"),
     ({"grid.hi": None}, "grid.lo and grid.hi must be given together"),
 ]
 
@@ -425,6 +428,7 @@ ESCAPED = {
     "sweep-worker-does-not-converge": (ATOMS_9 + "solver.max_iters = 1\n", None,
                                        ["--jobs", "2", *SWEEP], 3),
     "gaussian-vanishes-on-grid": (FAST_OU + "initial.stdev = 1e-6\n", None, ["run"], 2),
+    "gaussian-variance-overflows": (FAST_OU + "initial.stdev = 1e160\n", None, ["verify"], 2),
     # the flow's density goes negative: Crank-Nicolson on a narrow bump
     "crank-nicolson-goes-negative": (
         FAST_OU.replace("solver.dt = 2e-3", "solver.dt = 0.2")
@@ -608,6 +612,19 @@ class TestRateCommand:
         assert main(["--config", str(fast_config), "--out", str(out), "rate"]) == 0
         refit = json.loads((out / "rate.json").read_text())
         assert refit["fitted_rate"] == pytest.approx(summary["fitted_rate"], rel=1e-12)
+
+    def test_refit_without_summary_rebuilds_the_weight(self, fast_config, tmp_path):
+        """Without summary.json, rate takes E_star and the guaranteed rate from the
+        config's own Gibbs weight: the same numbers the run wrote."""
+        out = tmp_path / "out"
+        assert main(["--config", str(fast_config), "--out", str(out), "run"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        (out / "summary.json").unlink()
+        assert main(["--config", str(fast_config), "--out", str(out), "rate"]) == 0
+        refit = json.loads((out / "rate.json").read_text())
+        assert refit["fitted_rate"] == pytest.approx(summary["fitted_rate"], rel=1e-12)
+        assert (refit["E_star"], refit["lambda_theory"]) == (summary["E_star"],
+                                                             summary["lambda_theory"])
 
     def test_missing_timeseries_is_exit_2(self, fast_config, tmp_path):
         assert main(["--config", str(fast_config), "--out", str(tmp_path / "empty"), "rate"]) == 2

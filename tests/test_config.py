@@ -1,17 +1,21 @@
 """Config resolution: every flat dict resolves or raises ConfigError, and the
 resolved config carries the dataset, so a command parses its CSV once."""
 
+import importlib.util
 import math
+import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroflow import model
 from entroflow.cli import main
-from entroflow.config import ConfigError, resolve_config
+from entroflow.config import ConfigError, load_config, resolve_config
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 BASE = {
     "lambda": 1.0, "tau": 1.0, "entropy.family": "shannon",
@@ -78,3 +82,26 @@ def test_verify_and_run_parse_the_dataset_once(tmp_path, monkeypatch):
         calls.clear()
         assert main(["--config", str(cfg), "--out", str(tmp_path / command), command]) == 0
         assert len(calls) == 1, command
+
+
+def _benchmark_workloads(monkeypatch) -> dict:
+    """``WORKLOADS`` of ``benchmarks/run.py``, imported from its file."""
+    spec = importlib.util.spec_from_file_location("benchmark_run", ROOT / "benchmarks" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["ou1d", "atoms2d_snap", "ou3d_cn", "atoms2d.toml"])
+def test_benchmark_and_bundled_configs_load(tmp_path, monkeypatch, name):
+    """Every config the benchmark writes, and each bundled one, resolves and
+    builds its Gibbs weight: a key the benchmark writes that the resolver
+    rejects would turn every benchmark operation into exit 2."""
+    if name.endswith(".toml"):
+        path = CONFIGS / name
+    else:
+        path = _benchmark_workloads(monkeypatch)[name].write_config(tmp_path, 42)
+    gibbs = load_config(path).build_gibbs()
+    assert abs(gibbs.Z - 1.0) <= 1e-10

@@ -196,8 +196,8 @@ class TestWeightedOperator:
         np.testing.assert_allclose(op.edge_form(w), brute_ww, rtol=1e-11)
         # Tsallis q = 2, tau = 1/2 has phi'' = 1, so the Fisher term is the edge form
         tau = 0.5
-        gibbs = GibbsField(grid=g, V=ScalarField(g, -tau * np.log(gamma.values)), gamma=gamma,
-                           Z=1.0, Z_raw=1.0, m_grid=0.0, m_envelope=0.0, lam=1.0, tau=tau)
+        gibbs = GibbsField(grid=g, gamma=gamma, Z=1.0, Z_raw=1.0, m_grid=0.0, m_envelope=0.0,
+                           lam=1.0, tau=tau)
         f = fisher(ScalarField(g, w), gibbs, make_tsallis(2.0, tau))
         np.testing.assert_allclose(f, brute_ww, rtol=1e-11)
         # edge-by-edge L w and Jacobi diagonal against the assembled reference,

@@ -1,4 +1,4 @@
-"""Potential assembly, the data-term bound, and Gibbs normalization."""
+"""Potential assembly, the data-term bound, and the normalized Gibbs weight."""
 
 import math
 
@@ -15,7 +15,6 @@ from entroflow import (
     default_box,
     generalization_error,
     integrate,
-    normalize_gibbs,
     saturating_squared_loss,
     zero_loss,
 )
@@ -31,13 +30,14 @@ class TestBuildPotential:
     def test_pure_regularizer_is_quadratic(self):
         g = build_grid(1, -6, 6, 101)
         f = build_potential(None, None, None, 1.0, 1.0, g)
-        np.testing.assert_array_equal(f.V.values, 0.5 * g.nodes[:, 0] ** 2)
+        np.testing.assert_allclose(f.gamma.values * f.Z_raw, np.exp(-0.5 * g.nodes[:, 0] ** 2),
+                                   rtol=1e-14)
         assert f.m_grid == 0.0 and f.m_envelope == 0.0
 
     def test_gaussian_mass(self):
         g = build_grid(1, -6, 6, 401)
         f = build_potential(None, None, None, 1.0, 1.0, g)
-        assert f.Z == pytest.approx(math.sqrt(2 * math.pi), abs=1e-6)
+        assert f.Z_raw == pytest.approx(math.sqrt(2 * math.pi), abs=1e-6)
 
     def test_rejects_bad_parameters(self):
         g = build_grid(1, -6, 6, 11)
@@ -77,24 +77,19 @@ class TestDataTermBound:
 
 class TestNormalize:
     def test_unit_mass(self):
-        g = build_grid(1, -6, 6, 401)
-        f = normalize_gibbs(build_potential(None, None, None, 1.0, 1.0, g))
-        assert abs(integrate(f.gamma) - 1.0) <= 1e-10
-        assert f.normalized
+        for lam, tau in [(1.0, 1.0), (2.0, 0.7)]:
+            f = build_potential(None, None, None, lam, tau, build_grid(1, -6, 6, 401))
+            assert abs(integrate(f.gamma) - 1.0) <= 1e-10
+            assert f.Z == integrate(f.gamma)
 
     def test_gradient_untouched(self, atoms_1d):
         """Normalization shifts V by a constant, so its gradient cannot change."""
         g = build_grid(2, -5, 5, 21)
-        f = build_potential(atoms_1d, saturating_squared_loss(), arctan_sigmoid(), 1.0, 1.0, g)
-        f2 = normalize_gibbs(f)
-        assert np.ptp(f2.V.values - f.V.values) <= 1e-12
-
-    def test_idempotent(self):
-        g = build_grid(1, -6, 6, 201)
-        f1 = normalize_gibbs(build_potential(None, None, None, 2.0, 0.7, g))
-        f2 = normalize_gibbs(f1)
-        assert abs(f2.Z - 1.0) <= 1e-10
-        np.testing.assert_allclose(f2.V.values, f1.V.values, rtol=0, atol=1e-10)
+        loss, act = saturating_squared_loss(), arctan_sigmoid()
+        f = build_potential(atoms_1d, loss, act, 1.0, 1.0, g)
+        v = generalization_error(g.nodes, atoms_1d, loss, act) + 0.5 * np.sum(g.nodes**2, axis=1)
+        np.testing.assert_allclose(-np.log(f.gamma.values) - v, math.log(f.Z_raw), rtol=0,
+                                   atol=1e-12)
 
     def test_finiteness_bound_on_raw_mass(self, atoms_1d):
         """Total mass stays below exp(M/tau) * (2 pi tau / lam)^(d/2)."""
@@ -103,10 +98,12 @@ class TestNormalize:
             g = build_grid(2, -8, 8, 81)
             f = build_potential(atoms_1d, loss, act, lam, tau, g)
             assert f.Z_raw <= f.mass_bound()
-            assert f.Z_raw <= f.mass_bound(use_envelope=True)
-            fn = normalize_gibbs(f)
-            assert fn.Z_raw == f.Z_raw
-            assert fn.Z_raw <= fn.mass_bound()
+
+    def test_underflow_is_rejected(self):
+        """At tau = 0.01 exp(-V/tau) underflows on [-6, 6]; the error suggests a box."""
+        with pytest.raises(ValueError, match=r"underflows on the box \[-6, 6\] at tau = 0.01; "
+                                             r"choose another box, e.g. the automatic"):
+            build_potential(None, None, None, 1.0, 0.01, build_grid(1, -6, 6, 15))
 
 
 class TestDefaultBox:

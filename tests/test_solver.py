@@ -24,7 +24,6 @@ from entroflow import (
     integrate,
     load_config,
     make_shannon,
-    normalize_gibbs,
     ou_relative_density,
     resolve_config,
     saturating_squared_loss,
@@ -44,7 +43,7 @@ ANISOTROPIC = [((9, 13), (-4.0, -5.0), (5.0, 3.0)),
 @pytest.fixture(scope="module")
 def ou_gibbs():
     g = build_grid(1, -6, 6, 401)
-    return normalize_gibbs(build_potential(None, None, None, 1.0, 1.0, g))
+    return build_potential(None, None, None, 1.0, 1.0, g)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +60,7 @@ def atoms9_gibbs():
 @pytest.fixture(scope="module")
 def coarse_gibbs():
     g = build_grid(1, -6, 6, 101)
-    return normalize_gibbs(build_potential(None, None, None, 1.0, 1.0, g))
+    return build_potential(None, None, None, 1.0, 1.0, g)
 
 
 def weighted_mass(state):
@@ -204,7 +203,7 @@ class TestCrankNicolson:
 class TestThreeDimensions:
     def test_flow_conserves_in_3d(self):
         g = build_grid(3, -4, 4, 17)
-        gibbs = normalize_gibbs(build_potential(None, None, None, 1.0, 1.0, g))
+        gibbs = build_potential(None, None, None, 1.0, 1.0, g)
         state = init_state(gibbs, ou_relative_density(g, 0.3, 1.0, 1.0, 0.0))
         sup0 = np.max(state.w.values)
         final, n = evolve(state, SolverConfig(dt=5e-3, t_final=0.05))
@@ -216,7 +215,7 @@ class TestThreeDimensions:
 
 def gaussian_gibbs(n, lo, hi, lam=1.0, tau=1.0):
     g = build_grid(len(n), lo, hi, n)
-    return normalize_gibbs(build_potential(None, None, None, lam, tau, g))
+    return build_potential(None, None, None, lam, tau, g)
 
 
 def dataset_gibbs_1d(grid):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entroflow import build_grid, build_potential, normalize_gibbs
+from entroflow import build_grid, build_potential
 from entroflow.config import resolve_config
 from entroflow.verify import _smooth_density, run_verification
 
@@ -45,7 +45,7 @@ def test_margins_are_finite(atoms_config):
 def test_smooth_density_matches_per_node_formula():
     """Cosines evaluated per axis and broadcast give exactly the per-node densities."""
     g = build_grid(3, (-4.0, -3.0, -5.0), (3.0, 5.0, 4.0), (5, 6, 7))
-    gibbs = normalize_gibbs(build_potential(None, None, None, 1.0, 1.0, g))
+    gibbs = build_potential(None, None, None, 1.0, 1.0, g)
     rng = np.random.default_rng(17)
     field = np.zeros(g.num_nodes)
     for a in range(g.dim):
