@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .analysis import (
@@ -210,8 +209,9 @@ def cmd_sweep(raw_cfg: dict, base_dir: Path, axis: str, values: str,
     # each directory is named by the value's sweep.csv parameter text
     tasks = [(raw_cfg, str(base_dir), axis, v, str(out_dir / f"{axis}_{v!r}")) for v in parsed]
     if jobs > 1:
+        pool_type = sys.modules[__name__].ProcessPoolExecutor  # imported here, see __getattr__
         # a fork pool starts all its workers at once, so start no idle ones
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with pool_type(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_sweep_entry, tasks))
     else:
         outcomes = [_sweep_entry(t) for t in tasks]
@@ -225,6 +225,15 @@ def cmd_sweep(raw_cfg: dict, base_dir: Path, axis: str, values: str,
     write_text_atomic(out_dir / "sweep.csv", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK
+
+
+def __getattr__(name: str):
+    """Import ``ProcessPoolExecutor`` on first use: only ``sweep --jobs N > 1``
+    needs it, and ``concurrent.futures`` takes about 26 ms to import."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

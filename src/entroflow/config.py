@@ -153,8 +153,12 @@ class RunConfig:
             except OverflowError as exc:
                 raise ConfigError(f"initial.stdev = {self.initial_stdev:g} is too large: "
                                   f"its square overflows") from exc
-            diff = grid.nodes - mean[None, :]
-            bump = np.exp(-0.5 * np.sum(diff**2, axis=1) / var)
+            with np.errstate(over="ignore"):
+                dist2 = np.sum((grid.nodes - mean[None, :])**2, axis=1)
+            if not np.all(np.isfinite(dist2)):
+                raise ConfigError(f"initial.mean = {mean.tolist()} is too far from the grid: "
+                                  f"its squared distance to a node overflows")
+            bump = np.exp(-0.5 * dist2 / var)
             if not np.any(bump > 0):
                 raise ConfigError("the initial gaussian underflows to 0 at every node")
             return ScalarField(grid, bump / gibbs.gamma.values)

@@ -64,6 +64,20 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
+    @cached_property
+    def csv_coordinates(self) -> tuple[str, tuple[str, ...]]:
+        """The header of :func:`field_to_csv` and each node's ``"x_1,...,x_d,"`` row prefix.
+
+        The prefixes are the ``repr`` of each axis coordinate, joined in C
+        order; they are the floats of :attr:`nodes`, so the text is the same.
+        """
+        header = ",".join(f"x_{a + 1}" for a in range(self.dim)) + ",value"
+        prefixes = [""]
+        for a in range(self.dim):
+            texts = [repr(x) + "," for x in self.axis_coords(a).tolist()]
+            prefixes = [p + t for p in prefixes for t in texts]
+        return header, tuple(prefixes)
+
     def axis_weights(self, axis: int) -> np.ndarray:
         """Trapezoidal quadrature weights along one axis."""
         w = np.full(self.n[axis], self.h[axis])
@@ -305,11 +319,14 @@ class WeightedOperator:
 
 
 def field_to_csv(f: ScalarField, path) -> None:
-    """Write a field as CSV with columns ``x_1,...,x_d,value``, one row per node."""
-    g = f.grid
-    header = ",".join(f"x_{a + 1}" for a in range(g.dim)) + ",value"
-    rows = np.column_stack([g.nodes, f.values]).tolist()
-    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    """Write a field as CSV with columns ``x_1,...,x_d,value``, one row per node.
+
+    Every number is written with ``repr``, nodes in C order.  The coordinate
+    text is built once per grid (:attr:`Grid.csv_coordinates`), so each
+    write formats only the values.
+    """
+    header, prefixes = f.grid.csv_coordinates
+    lines = [header] + [p + repr(v) for p, v in zip(prefixes, f.values.tolist())]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

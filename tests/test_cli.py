@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entroflow
-from entroflow import ScalarField, build_grid, cli, field_to_csv
+from entroflow import ScalarField, build_grid, cli, field_from_csv, field_to_csv
 from entroflow.cli import main, read_timeseries
 from entroflow.config import ConfigError, load_config, parse_config_text
 
@@ -58,6 +59,18 @@ def test_cli_import_skips_scipy_optimize():
     proc = run_python("-c", "import sys, entroflow.cli; print('scipy.optimize' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_skips_process_pool():
+    """Only sweep --jobs N > 1 makes a pool, so the CLI import leaves out
+    concurrent.futures.process (about 26 ms of every CLI process) until
+    cli.ProcessPoolExecutor is first read."""
+    proc = run_python("-c", "import sys, entroflow.cli\n"
+                      "print('concurrent.futures.process' in sys.modules)\n"
+                      "entroflow.cli.ProcessPoolExecutor\n"
+                      "print('concurrent.futures.process' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 FAST_OU_3D = (FAST_OU.replace("grid.dim = 1", "grid.dim = 3")
@@ -380,12 +393,23 @@ class TestRunCommand:
             assert f"steps ({backend})" in capsys.readouterr().out
 
     def test_snapshots_written(self, tmp_path):
-        cfg = tmp_path / "snap.toml"
-        cfg.write_text(FAST_OU + "output.snapshot_every = 20\n", encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
-        assert (out / "w_t0.csv").exists()
-        assert len(list(out.glob("w_t*.csv"))) >= 2
+        """Every snapshot_every-th record is written, as node coordinates and
+        value, each with repr, on a 1-d and a 2-d grid."""
+        runs = [(FAST_OU, 20, build_grid(1, -6.0, 6.0, 201)),
+                (ATOMS_9, 5, build_grid(2, -5.0, 5.0, 9))]
+        for k, (text, every, grid) in enumerate(runs):
+            cfg, out = tmp_path / f"snap{k}.toml", tmp_path / f"out{k}"
+            cfg.write_text(text + f"output.snapshot_every = {every}\n", encoding="utf-8")
+            assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
+            assert (out / "w_t0.csv").exists()
+            snaps = sorted(out.glob("w_t*.csv"))
+            records = read_timeseries(out / "timeseries.csv")
+            assert len(snaps) == -(-len(records) // every) >= 2
+            for path in snaps:
+                rows = np.column_stack([grid.nodes, field_from_csv(grid, path).values]).tolist()
+                header = ",".join(f"x_{a + 1}" for a in range(grid.dim)) + ",value"
+                lines = [header] + [",".join(map(repr, row)) for row in rows]
+                assert path.read_bytes() == ("\n".join(lines) + "\n").encode(), path.name
 
 
 SMOKE_BASE = """\
@@ -407,8 +431,8 @@ SWEEP = ["sweep", "--axis", "lambda", "--values", "1,2"]
 # Inputs that ended in a traceback with exit 1 before main mapped every error:
 # (config text, or bytes, or None for a directory; --out: None for a fresh
 # directory, "file" for an existing file, else the files it holds; command
-# line; exit code).  The Crank-Nicolson inputs also emit undershoot warnings,
-# which are Python warnings, not lines that main prints.
+# line; exit code).  The Crank-Nicolson inputs also emit the solver's
+# undershoot warnings; no input may emit any other warning, such as numpy's.
 ESCAPED = {
     "run-out-is-file": (FAST_OU, "file", ["run"], 2),
     "verify-out-is-file": (FAST_OU, "file", ["verify"], 2),
@@ -429,6 +453,7 @@ ESCAPED = {
                                        ["--jobs", "2", *SWEEP], 3),
     "gaussian-vanishes-on-grid": (FAST_OU + "initial.stdev = 1e-6\n", None, ["run"], 2),
     "gaussian-variance-overflows": (FAST_OU + "initial.stdev = 1e160\n", None, ["verify"], 2),
+    "gaussian-mean-overflows": (FAST_OU + "initial.mean = [1e200]\n", None, ["run"], 2),
     # the flow's density goes negative: Crank-Nicolson on a narrow bump
     "crank-nicolson-goes-negative": (
         FAST_OU.replace("solver.dt = 2e-3", "solver.dt = 0.2")
@@ -467,10 +492,15 @@ def test_every_failure_is_one_line_exit_2_or_3(tmp_path, capsys, case):
         cfg.write_text(config, encoding="utf-8")
     out = tmp_path / "out"
     _make_out(out, out_spec)
-    assert main(["--config", str(cfg), "--out", str(out), *command]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(cfg), "--out", str(out), *command]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1, err
     assert err[0].startswith("config error:" if code == 2 else "solver diagnostic:")
+    others = [str(w.message) for w in caught
+              if not str(w.message).startswith("crank-nicolson step produced")]
+    assert not others, others
 
 
 def test_cold_one_dimensional_flow_stays_nonnegative(tmp_path):

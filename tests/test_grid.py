@@ -219,6 +219,22 @@ class TestWeightedOperator:
             WeightedOperator(g, bad)
 
 
+def _reference_csv(g, values) -> bytes:
+    """The snapshot text as the writer built it before it kept the coordinate
+    text per grid: every row re-formatted from ``g.nodes``."""
+    header = ",".join(f"x_{a + 1}" for a in range(g.dim)) + ",value"
+    rows = np.column_stack([g.nodes, values]).tolist()
+    return ("\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n").encode()
+
+
+def _spread_values(size: int, seed: int) -> np.ndarray:
+    """Values over many decades and both signs, led by -0.0, 1e-320 and 1e300."""
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+    vals[:3] = [-0.0, 1e-320, 1e300]
+    return vals
+
+
 class TestFieldCsv:
     def test_roundtrip(self, tmp_path):
         g = build_grid(2, -1, 1, (5, 4))
@@ -249,6 +265,29 @@ class TestFieldCsv:
             b"1.0,0.0,0.30000000000000004\n"
             b"1.0,1.0,7.0\n"
         )
+
+    @pytest.mark.parametrize("dim,lo,hi,n", [
+        (1, -6.0, 6.0, 13),
+        (2, -1.0, 1.0, (5, 4)),
+        (3, (-1.0, -2.0, -0.3), (1.0, 2.5, 0.7), (3, 4, 5)),
+        (2, -7.0, 7.0, 101),  # coordinates such as -0.41999999999999904 and 8.881784197001252e-16
+    ])
+    def test_text_matches_reference_writer(self, tmp_path, dim, lo, hi, n):
+        g = build_grid(dim, lo, hi, n)
+        path = tmp_path / "field.csv"
+        vals = _spread_values(g.num_nodes, seed=dim)
+        field_to_csv(ScalarField(g, vals), path)
+        assert path.read_bytes() == _reference_csv(g, vals)
+
+    def test_grids_of_one_shape_keep_their_own_text(self, tmp_path):
+        """Alternate writes on two boxes of one shape: each grid holds its own text."""
+        grids = [build_grid(2, -1.0, 1.0, (5, 4)), build_grid(2, (-3.0, 0.1), (0.5, 9.0), (5, 4))]
+        path = tmp_path / "field.csv"
+        for k in range(4):
+            g = grids[k % 2]
+            vals = _spread_values(g.num_nodes, seed=k)
+            field_to_csv(ScalarField(g, vals), path)
+            assert path.read_bytes() == _reference_csv(g, vals)
 
     def test_write_is_atomic(self, tmp_path, monkeypatch):
         """The CSV is written beside the target and renamed onto it: a write
