@@ -229,7 +229,7 @@ def cmd_sweep(raw_cfg: dict, base_dir: Path, axis: str, values: str,
 
 def __getattr__(name: str):
     """Import ``ProcessPoolExecutor`` on first use: only ``sweep --jobs N > 1``
-    needs it, and ``concurrent.futures`` takes about 26 ms to import."""
+    needs it, and ``concurrent.futures`` takes about 20 ms to import."""
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor

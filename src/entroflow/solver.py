@@ -25,7 +25,11 @@ grid and the weight:
   generalized eigenproblem ``L v = mu D v`` then splits into one small dense
   problem per axis, and a step is a diagonal scale between forward and back
   mode products with the axis eigenbases.  The solve is exact up to
-  roundoff, in the far tail as well.
+  roundoff, in the far tail as well.  ``k`` steps are the ``k``-th power of
+  that diagonal scale, so :func:`evolve` advances a whole record interval
+  (the whole run without an observer) with one forward and one back mode
+  product, and the Crank-Nicolson undershoot warning sees the recorded
+  states only.
 * Jacobi-preconditioned conjugate gradients otherwise (dataset weights in
   2-d and 3-d).  No matrix is built: each product ``(D + coef L) p`` applies
   ``L`` edge by edge through :meth:`WeightedOperator.apply_stiffness`, and
@@ -166,15 +170,17 @@ def _tridiagonal_scans(mass: np.ndarray, off: np.ndarray):
 
 
 class Stepper:
-    """One time step of a fixed ``(operator, dt, scheme)``, prepared once.
+    """Time steps of a fixed ``(operator, dt, scheme)``, prepared once.
 
-    ``advance`` maps the node array ``w`` to the next step's array.  Both
-    schemes read ``D w`` on the right: implicit Euler solves
+    ``advance(w, k)`` maps the node array ``w`` to the array ``k`` steps
+    later.  Both schemes read ``D w`` on the right: implicit Euler solves
     ``(D + dt L) x = D w`` and Crank-Nicolson
     ``(D + dt/2 L) x = (D - dt/2 L) w``.  The backend follows from the grid
     and the weight (see :func:`solver_backend`): the tridiagonal scans and
     fast diagonalization are exact up to roundoff, Jacobi PCG stops on its
-    preconditioned residual.
+    preconditioned residual.  The scans and PCG take the ``k`` steps one by
+    one; fast diagonalization jumps over them with one forward and one back
+    mode product, so its Crank-Nicolson warning sees only the returned state.
     """
 
     def __init__(self, op: WeightedOperator, dt: float, cfg: SolverConfig):
@@ -201,26 +207,40 @@ class Stepper:
             # exactly zero on the constants, so the step conserves mass
             # however far the eigenvectors are from D-orthonormal
             self.change = -(2.0 if self.crank_nicolson else 1.0) * coef * mu / (1.0 + coef * mu)
+            self.jump = (1, self.change)  # (k, change over k steps), the last k asked for
         else:
             # b, r, z, p and A p, written in place by _pcg
             self.buffers = [np.empty_like(self.mass) for _ in range(5)]
             self.diag = coef * op.stiffness_diagonal + self.mass
 
-    def advance(self, w: np.ndarray) -> np.ndarray:
-        """The node array one step after ``w``; warns if Crank-Nicolson undershoots zero."""
-        if self.backend == "tridiag":
-            x = self._tridiag(w)
-        elif self.backend == "fastdiag":
+    def advance(self, w: np.ndarray, k: int = 1) -> np.ndarray:
+        """The node array ``k`` steps after ``w``; warns if Crank-Nicolson undershoots zero.
+
+        Fast diagonalization scales each mode by its change over ``k`` steps,
+        ``amp**k - 1`` with ``amp = 1 + change``; that is exactly zero on the
+        constants, so the jump conserves mass like one step does.  With
+        ``k = 1`` it is the one-step ``change`` itself.  The other backends
+        take ``k`` single steps and check each one.
+        """
+        if self.backend == "fastdiag":
+            if self.jump[0] != k:  # one cached power: a run asks for at most two
+                self.jump = (k, self.change if k == 1 else (1.0 + self.change) ** k - 1.0)
             coeffs = self._modes((self.mass * w).reshape(self.shape), self.forward)
-            x = w + self._modes(self.change * coeffs, self.back).ravel()
-        else:
-            x = self._pcg(w)
+            x = w + self._modes(self.jump[1] * coeffs, self.back).ravel()
+            self._check_sign(x)
+            return x
+        x = w
+        for _ in range(k):
+            x = self._tridiag(x) if self.backend == "tridiag" else self._pcg(x)
+            self._check_sign(x)
+        return x
+
+    def _check_sign(self, x: np.ndarray) -> None:
         if self.crank_nicolson and float(np.min(x)) < -10.0 * self.tol:
             warnings.warn(
                 f"crank-nicolson step produced min(w) = {np.min(x):.3e} < 0",
-                RuntimeWarning, stacklevel=3,
+                RuntimeWarning, stacklevel=4,
             )
-        return x
 
     def _tridiag(self, w: np.ndarray) -> np.ndarray:
         """Solve the 1-d step system ``A x = b`` by the two prepared scans.
@@ -310,8 +330,10 @@ def evolve(state: FlowState, cfg: SolverConfig, observer=None) -> tuple[FlowStat
 
     The observer is called with ``(t, w)`` at time 0, after every
     ``record_every``-th step, and after the final step (once, even when the
-    step count is a multiple of the cadence).  Returns the final state and
-    the number of steps taken.
+    step count is a multiple of the cadence).  The stepper advances from
+    record to record, or over all full steps at once without an observer;
+    a non-finite state raises ``ValueError`` at the next record at the
+    latest.  Returns the final state and the number of steps taken.
     """
     op = state.gibbs.operator()
     n_steps = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
@@ -328,10 +350,15 @@ def evolve(state: FlowState, cfg: SolverConfig, observer=None) -> tuple[FlowStat
         observer(0.0, w)
     recorded_last = False
     stepper = Stepper(op, cfg.dt, cfg)
-    for k in range(1, n_steps + 1):
-        w, t = ScalarField(grid, stepper.advance(w.values)), k * cfg.dt
+    every = cfg.record_every if observer is not None else n_steps
+    done = 0
+    while done < n_steps:
+        k = min(every, n_steps - done)
+        w = ScalarField(grid, stepper.advance(w.values, k))
+        done += k
+        t = done * cfg.dt
         recorded_last = False
-        if observer is not None and k % cfg.record_every == 0:
+        if observer is not None and done % cfg.record_every == 0:
             observer(t, w)
             recorded_last = True
     if n_extra:

@@ -208,9 +208,17 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
         ratio = sobolev_ratio(w, gibbs, gen)
         if ratio is not None:
             ratio_worst = max(ratio_worst, ratio)
+    detail = f"max ratio over 100 densities {ratio_worst:.6f} vs bound {bound_ratio:.6f}"
+    if ratio_worst > bound_ratio:
+        # the bound is the continuum constant; the grid's own gap sits below
+        # the continuum gap by O(h^2), which lifts the ratio towards 1/(2 mu_1)
+        detail += "; grid h = " + ", ".join(f"{h:.6g}" for h in grid.h)
+        if op.axis_eigenbasis is not None:
+            mu_1 = min(float(mu[1]) for mu, _ in op.axis_eigenbasis)
+            detail += f"; discrete 1/(2 mu_1) = {0.5 / mu_1:.6f}"
     results.append(CheckResult(
         "energy.sobolev_ratio_bound", ratio_worst <= bound_ratio, bound_ratio - ratio_worst,
-        f"max ratio over 100 densities {ratio_worst:.6f} vs bound {bound_ratio:.6f}",
+        detail,
     ))
 
     # ---- a short trajectory -------------------------------------------------

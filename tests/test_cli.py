@@ -63,7 +63,7 @@ def test_cli_import_skips_scipy_optimize():
 
 def test_cli_import_skips_process_pool():
     """Only sweep --jobs N > 1 makes a pool, so the CLI import leaves out
-    concurrent.futures.process (about 26 ms of every CLI process) until
+    concurrent.futures.process (about 20 ms of every CLI process) until
     cli.ProcessPoolExecutor is first read."""
     proc = run_python("-c", "import sys, entroflow.cli\n"
                       "print('concurrent.futures.process' in sys.modules)\n"
@@ -632,6 +632,24 @@ class TestVerifyCommand:
         report = json.loads((out / "verify.json").read_text())
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "entropy.P3-strict-convexity" in failed
+
+    def test_sobolev_failure_names_the_discrete_constant(self, tmp_path, capsys):
+        """On a 15^3 grid the ratio exceeds the continuum bound 0.5; the detail
+        gives the spacing and the grid's own constant 1/(2 mu_1), which lies above it."""
+        cfg = tmp_path / "ou3d.toml"
+        cfg.write_text(FAST_OU_3D, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 1
+        report = json.loads((out / "verify.json").read_text())
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["energy.sobolev_ratio_bound"]
+        detail = next(c["detail"] for c in report["checks"]
+                      if c["name"] == "energy.sobolev_ratio_bound")
+        assert "vs bound 0.500000; grid h = 0.857143, 0.857143, 0.857143;" in detail
+        ratio = float(detail.split("max ratio over 100 densities ")[1].split()[0])
+        constant = float(detail.split("discrete 1/(2 mu_1) = ")[1])
+        assert constant == pytest.approx(0.5497, abs=1e-4)
+        assert 0.5 < ratio < constant
+        assert f"[FAIL] energy.sobolev_ratio_bound: {detail}" in capsys.readouterr().out
 
 
 class TestRateCommand:

@@ -261,6 +261,67 @@ class TestFastDiagonalization:
         assert n_steps == 500
         assert max(abs(m - 1.0) for m in masses) <= 1e-12
 
+    @pytest.mark.filterwarnings("ignore:crank-nicolson step produced")
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    @pytest.mark.parametrize("n,lo,hi", ANISOTROPIC)
+    def test_jump_matches_single_steps(self, n, lo, hi, scheme):
+        """``advance(w, k)`` is ``k`` single advances up to roundoff, and with
+        ``k = 1`` it is the one-step mode scale bit for bit, cached power or not."""
+        op = gaussian_gibbs(n, lo, hi, lam=2.0, tau=0.7).operator()
+        stepper = Stepper(op, 1e-2, SolverConfig(dt=1e-2, t_final=1.0, scheme=scheme))
+        w = np.exp(np.random.default_rng(11).normal(size=op.grid.num_nodes))
+        modes = stepper._modes((stepper.mass * w).reshape(stepper.shape), stepper.forward)
+        one_step = w + stepper._modes(stepper.change * modes, stepper.back).ravel()
+        assert np.array_equal(stepper.advance(w), one_step)
+        for k in (2, 7, 50):
+            ref = w
+            for _ in range(k):
+                ref = stepper.advance(ref)
+            assert np.max(np.abs(stepper.advance(w, k) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.array_equal(stepper.advance(w, 1), one_step)
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_jump_keeps_constants(self, scheme):
+        """The change over ``k`` steps is exactly zero on the constant mode, so
+        a constant stays constant up to the roundoff of the mode products."""
+        op = gaussian_gibbs((7, 9, 11), (-4.0, -3.0, -5.0), (3.0, 5.0, 4.0)).operator()
+        stepper = Stepper(op, 1e-2, SolverConfig(dt=1e-2, t_final=1.0, scheme=scheme))
+        ones = np.ones(op.grid.num_nodes)
+        for k in (2, 7, 50):
+            x = stepper.advance(ones, k)
+            assert stepper.jump[0] == k and stepper.jump[1].flat[0] == 0.0
+            assert np.max(np.abs(x - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_mass_drift_3d_jumps(self, scheme):
+        """500 steps in jumps of 25 conserve mass as single steps do."""
+        gibbs = gaussian_gibbs((17, 17, 17), -6.0, 6.0)
+        op = gibbs.operator()
+        state = init_state(gibbs, ou_relative_density(op.grid, 0.5, 1.0, 1.0, 0.0))
+        masses = []
+        _, n_steps = evolve(state, SolverConfig(dt=1e-2, t_final=5.0, scheme=scheme, record_every=25),
+                            observer=lambda t, w: masses.append(op.inner(w.values, np.ones_like(w.values))))
+        assert n_steps == 500 and len(masses) == 21
+        assert max(abs(m - 1.0) for m in masses) <= 1e-12
+
+    @pytest.mark.parametrize("observe", [True, False])
+    def test_two_mode_products_per_record(self, monkeypatch, observe):
+        """One forward and one back product per record interval, one pair for a
+        run without an observer, and one pair for the remainder step."""
+        calls = []
+        modes = Stepper._modes
+        monkeypatch.setattr(Stepper, "_modes", lambda self, *a: calls.append(1) or modes(self, *a))
+        gibbs = gaussian_gibbs((9, 13), (-4.0, -5.0), (5.0, 3.0))
+        state = init_state(gibbs, ou_relative_density(gibbs.grid, 0.5, 1.0, 1.0, 0.0))
+        times = []
+        _, n_steps = evolve(state, SolverConfig(dt=1e-2, t_final=1.005, record_every=7),
+                            observer=(lambda t, w: times.append(t)) if observe else None)
+        assert n_steps == 101
+        intervals = math.ceil(100 / 7) if observe else 1
+        assert len(calls) == 2 * (intervals + 1)
+        if observe:
+            assert len(times) == 1 + 100 // 7 + 1
+
     def test_crank_nicolson_warns_on_3d_spike(self):
         gibbs = gaussian_gibbs((13, 13, 13), -4.0, 4.0)
         vals = np.zeros(gibbs.grid.num_nodes)
@@ -362,6 +423,19 @@ class TestTridiagonal:
                 b = 2.0 * b - a @ w
             ref = np.linalg.solve(a, b)
             assert np.max(np.abs(stepper.advance(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.filterwarnings("ignore:crank-nicolson step produced")
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_advance_k_is_k_steps(self, coarse_gibbs, atoms9_gibbs, scheme):
+        """The scans and PCG take ``advance(w, k)`` one step at a time, bit for bit."""
+        for gibbs, backend in ((coarse_gibbs, "tridiag"), (atoms9_gibbs, "pcg")):
+            stepper = Stepper(gibbs.operator(), 0.05, SolverConfig(dt=0.05, t_final=1.0, scheme=scheme))
+            assert stepper.backend == backend
+            w = np.exp(np.random.default_rng(7).normal(size=gibbs.grid.num_nodes))
+            ref = w
+            for _ in range(7):
+                ref = stepper.advance(ref)
+            assert np.array_equal(stepper.advance(w, 7), ref)
 
     def test_mass_drift_on_bundled_config(self):
         """3000 implicit-Euler steps of configs/ou_shannon.toml conserve mass to 1e-12."""
