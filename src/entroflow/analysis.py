@@ -89,7 +89,7 @@ def snapshot(t: float, w: ScalarField, gibbs: GibbsField, gen: EntropyGenerator)
         t=float(t),
         energy=e,
         fisher=fisher(w, gibbs, gen),
-        mass=op.inner(w.values, np.ones_like(w.values)),
+        mass=op.inner(w.values, 1.0),
         w_min=float(np.min(w.values)),
         w_max=float(np.max(w.values)),
     )
@@ -140,7 +140,7 @@ def sobolev_ratio(w: ScalarField, gibbs: GibbsField, gen: EntropyGenerator) -> f
     Returns ``None`` for (near-)constant densities, where both sides vanish.
     The theory bounds the ratio by ``exp(2 M / tau) * tau / (2 lam)``.
     """
-    mass = gibbs.operator().inner(w.values, np.ones_like(w.values))
+    mass = gibbs.operator().inner(w.values, 1.0)
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"density must have unit weighted mass, got {mass}")
     f = fisher(w, gibbs, gen)

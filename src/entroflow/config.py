@@ -166,7 +166,7 @@ class RunConfig:
             w0 = field_from_csv(grid, self.initial_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"initial density file: {exc}") from exc
-        mass = gibbs.operator().inner(w0.values, np.ones_like(w0.values))
+        mass = gibbs.operator().inner(w0.values, 1.0)
         if np.any(w0.values < 0) or not mass > 0:
             raise ConfigError(f"initial density file {self.initial_path}: values must be "
                               f"nonnegative with positive weighted mass")

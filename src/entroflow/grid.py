@@ -300,7 +300,7 @@ class WeightedOperator:
         """Apply the generator: ``G w = -(L w) / m``."""
         return -self.apply_stiffness(w) / self.node_mass
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+    def inner(self, a: np.ndarray, b: np.ndarray | float) -> float:
         """Weighted inner product ``sum_i a_i b_i gamma_i quad_weight_i``."""
         return float(np.dot(a * b, self.node_mass))
 

@@ -1,13 +1,15 @@
 """Time integration of the weighted diffusion flow.
 
 The evolving unknown is the density of the current measure relative to the
-Gibbs weight.  Each implicit-Euler step solves ``(D + dt L) w_new = D w_old``
+Gibbs weight.  Every step solves the one system ``(D + c L) y = D w``,
 where ``D`` holds the weighted node masses and ``L`` is the symmetric edge
-stiffness matrix; the system matrix is an M-matrix for every step size, so
-the update preserves nonnegativity and the max principle structurally, and
-conserves the weighted mean exactly because constants are in the kernel of
-the generator.  Crank-Nicolson is available for accuracy studies but may
-undershoot zero on rough data.
+stiffness matrix.  Implicit Euler takes ``c = dt`` and steps to ``y``; the
+system matrix is an M-matrix for every step size, so the update preserves
+nonnegativity and the max principle structurally, and conserves the
+weighted mean exactly because constants are in the kernel of the
+generator.  Crank-Nicolson takes ``c = dt/2`` and steps to ``2 y - w``,
+which is exact: ``(D + c L)^{-1} (D - c L) = 2 (D + c L)^{-1} D - I``.  It
+is available for accuracy studies but may undershoot zero on rough data.
 
 The step system is constant, so it is prepared once per ``(operator, dt,
 scheme)`` in a :class:`Stepper`, which picks one of three backends from the
@@ -35,11 +37,11 @@ grid and the weight:
   ``L`` edge by edge through :meth:`WeightedOperator.apply_stiffness`, and
   the Jacobi diagonal comes from :attr:`WeightedOperator.stiffness_diagonal`.
   Preconditioning is not optional in practice: the node masses span many
-  orders of magnitude between the box center and its corners.  The
-  preconditioned residual test bounds the error in the energy norm only; in
-  the far tail, where the masses are tiny, pointwise values can be off by
-  far more than ``linear_tol`` (about 4e-6 relative in ``w_min``/``w_max``
-  on a 41^3 Gaussian grid).
+  orders of magnitude between the box center and its corners.  PCG stops
+  on the preconditioned residual of ``A y = D w``, which bounds the error
+  of ``y`` in the energy norm only; in the far tail, where the masses are
+  tiny, pointwise values can be off by far more than ``linear_tol`` (about
+  4e-6 relative in ``w_min``/``w_max`` on a 41^3 Gaussian grid).
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def init_state(gibbs: GibbsField, w0: ScalarField) -> FlowState:
         raise ValueError("initial density lives on a different grid")
     if np.any(w0.values < 0):
         raise ValueError("initial density has negative entries")
-    mass = gibbs.operator().inner(w0.values, np.ones_like(w0.values))
+    mass = gibbs.operator().inner(w0.values, 1.0)
     if mass <= 0:
         raise ValueError("initial density has zero weighted mass")
     return FlowState(t=0.0, w=ScalarField(gibbs.grid, w0.values / mass), gibbs=gibbs)
@@ -173,26 +175,25 @@ class Stepper:
     """Time steps of a fixed ``(operator, dt, scheme)``, prepared once.
 
     ``advance(w, k)`` maps the node array ``w`` to the array ``k`` steps
-    later.  Both schemes read ``D w`` on the right: implicit Euler solves
-    ``(D + dt L) x = D w`` and Crank-Nicolson
-    ``(D + dt/2 L) x = (D - dt/2 L) w``.  The backend follows from the grid
-    and the weight (see :func:`solver_backend`): the tridiagonal scans and
-    fast diagonalization are exact up to roundoff, Jacobi PCG stops on its
+    later.  Every backend solves ``A y = D w`` with ``A = D + coef L``;
+    Crank-Nicolson (``coef = dt/2``) then steps to ``2 y - w``, implicit
+    Euler (``coef = dt``) to ``y``.  The backend follows from the grid and
+    the weight (see :func:`solver_backend`): the tridiagonal scans and fast
+    diagonalization are exact up to roundoff, Jacobi PCG stops on its
     preconditioned residual.  The scans and PCG take the ``k`` steps one by
     one; fast diagonalization jumps over them with one forward and one back
-    mode product, so its Crank-Nicolson warning sees only the returned state.
+    mode product.  The first Crank-Nicolson state that undershoots zero is
+    reported with a warning, later ones are not.
     """
 
     def __init__(self, op: WeightedOperator, dt: float, cfg: SolverConfig):
         self.backend = solver_backend(op)
         self.crank_nicolson = cfg.scheme == "crank-nicolson"
+        self.undershot = False
         self.tol = cfg.linear_tol
         self.max_iters = cfg.max_linear_iters
         self.mass = op.node_mass
         self.coef = coef = 0.5 * dt if self.crank_nicolson else dt
-        if self.backend != "fastdiag":  # read by _system
-            self.op = op
-            self.mass_per_coef = self.mass / coef
         if self.backend == "tridiag":
             self.piv, self.forward_scan, self.backward_scan = _tridiagonal_scans(
                 self.mass, coef * op.axis_cond[0])
@@ -203,18 +204,21 @@ class Stepper:
             mu = op.axis_eigenbasis[0][0]
             for mu_a, _ in op.axis_eigenbasis[1:]:
                 mu = np.add.outer(mu, mu_a)
-            # the change of each mode over one step, amplification minus one:
-            # exactly zero on the constants, so the step conserves mass
-            # however far the eigenvectors are from D-orthonormal
+            # the change of each mode over one step, amplification minus one
+            # (Crank-Nicolson's is twice implicit Euler's at coef): exactly
+            # zero on the constants, so the step conserves mass however far
+            # the eigenvectors are from D-orthonormal
             self.change = -(2.0 if self.crank_nicolson else 1.0) * coef * mu / (1.0 + coef * mu)
             self.jump = (1, self.change)  # (k, change over k steps), the last k asked for
         else:
+            self.op = op  # op and mass_per_coef are read by _system
+            self.mass_per_coef = self.mass / coef
             # b, r, z, p and A p, written in place by _pcg
             self.buffers = [np.empty_like(self.mass) for _ in range(5)]
             self.diag = coef * op.stiffness_diagonal + self.mass
 
     def advance(self, w: np.ndarray, k: int = 1) -> np.ndarray:
-        """The node array ``k`` steps after ``w``; warns if Crank-Nicolson undershoots zero.
+        """The node array ``k`` steps after ``w``; warns at the first Crank-Nicolson undershoot.
 
         Fast diagonalization scales each mode by its change over ``k`` steps,
         ``amp**k - 1`` with ``amp = 1 + change``; that is exactly zero on the
@@ -231,27 +235,22 @@ class Stepper:
             return x
         x = w
         for _ in range(k):
-            x = self._tridiag(x) if self.backend == "tridiag" else self._pcg(x)
+            y = self._tridiag(x) if self.backend == "tridiag" else self._pcg(x)
+            x = 2.0 * y - x if self.crank_nicolson else y
             self._check_sign(x)
         return x
 
     def _check_sign(self, x: np.ndarray) -> None:
-        if self.crank_nicolson and float(np.min(x)) < -10.0 * self.tol:
+        if self.crank_nicolson and not self.undershot and float(np.min(x)) < -10.0 * self.tol:
+            self.undershot = True
             warnings.warn(
                 f"crank-nicolson step produced min(w) = {np.min(x):.3e} < 0",
                 RuntimeWarning, stacklevel=4,
             )
 
     def _tridiag(self, w: np.ndarray) -> np.ndarray:
-        """Solve the 1-d step system ``A x = b`` by the two prepared scans.
-
-        ``b`` is ``D w`` for implicit Euler and ``2 D w - A w`` for
-        Crank-Nicolson, as in :meth:`_pcg`.
-        """
+        """Solve the 1-d step system ``A y = D w`` by the two prepared scans."""
         x = self.mass * w
-        if self.crank_nicolson:
-            x *= 2.0
-            x -= self._system(w, np.empty_like(w))
         for s, c in self.forward_scan:
             x[s:] += c * x[:-s]
         x /= self.piv
@@ -279,22 +278,18 @@ class Stepper:
         return out
 
     def _pcg(self, w: np.ndarray) -> np.ndarray:
-        """Solve the step system ``A x = b`` by Jacobi-preconditioned CG from ``x = w``.
+        """Solve the step system ``A y = D w`` by Jacobi-preconditioned CG from ``y = w``.
 
-        ``b`` is ``D w`` for implicit Euler and ``(D - dt/2 L) w = 2 D w - A w``
-        for Crank-Nicolson.  ``A`` is symmetric positive definite;
-        convergence is declared on the preconditioned residual norm relative
-        to the preconditioned norm of ``b``.  ``b``, ``r``, ``z``, ``p`` and
-        ``A p`` live in ``buffers``, prepared once: as fresh arrays on every
-        solve, they made the C heap shrink and regrow, at about 100 page
-        faults per step on a 101^2 grid.
+        ``A`` is symmetric positive definite; convergence is declared on the
+        preconditioned residual norm relative to the preconditioned norm of
+        ``b = D w``.  ``b``, ``r``, ``z``, ``p`` and ``A p`` live in
+        ``buffers``, prepared once: as fresh arrays on every solve, they
+        made the C heap shrink and regrow, at about 100 page faults per step
+        on a 101^2 grid.
         """
         b, r, z, p, ap = self.buffers
         diag = self.diag
         np.multiply(self.mass, w, out=b)
-        if self.crank_nicolson:
-            b *= 2.0
-            b -= self._system(w, ap)
         x = w.copy()
         np.subtract(b, self._system(x, ap), out=r)
         target = self.tol * math.sqrt(float(np.dot(b, np.divide(b, diag, out=z))))
@@ -338,32 +333,22 @@ def evolve(state: FlowState, cfg: SolverConfig, observer=None) -> tuple[FlowStat
     op = state.gibbs.operator()
     n_steps = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
     remainder = cfg.t_final - n_steps * cfg.dt
-    if remainder > 1e-9 * cfg.dt:
-        n_extra = 1
-    else:
-        n_extra = 0
-        remainder = 0.0
+    fractional = remainder > 1e-9 * cfg.dt
 
     grid = state.w.grid
     w, t = state.w, state.t
     if observer is not None:
         observer(0.0, w)
-    recorded_last = False
     stepper = Stepper(op, cfg.dt, cfg)
-    every = cfg.record_every if observer is not None else n_steps
-    done = 0
-    while done < n_steps:
+    every = cfg.record_every if observer is not None else max(n_steps, 1)
+    for done in range(0, n_steps, every):
         k = min(every, n_steps - done)
         w = ScalarField(grid, stepper.advance(w.values, k))
-        done += k
-        t = done * cfg.dt
-        recorded_last = False
-        if observer is not None and done % cfg.record_every == 0:
+        t = (done + k) * cfg.dt
+        if observer is not None and (k == every or not fractional):
             observer(t, w)
-            recorded_last = True
-    if n_extra:
+    if fractional:
         w, t = ScalarField(grid, Stepper(op, remainder, cfg).advance(w.values)), cfg.t_final
-        recorded_last = False
-    if observer is not None and not recorded_last and n_steps + n_extra > 0:
-        observer(t, w)
-    return FlowState(t=t, w=w, gibbs=state.gibbs), n_steps + n_extra
+        if observer is not None:
+            observer(t, w)
+    return FlowState(t=t, w=w, gibbs=state.gibbs), n_steps + fractional

@@ -55,7 +55,7 @@ def _smooth_density(gibbs, rng, roughness=0.6, modes=4) -> ScalarField:
         for k in range(1, modes + 1):
             field += roughness * rng.normal() / k * np.cos(math.pi * k * x)
     w = np.exp(field).ravel()
-    mass = gibbs.operator().inner(w, np.ones_like(w))
+    mass = gibbs.operator().inner(w, 1.0)
     return ScalarField(g, w / mass)
 
 

@@ -351,7 +351,8 @@ class TestRunCommand:
         """At tau = 0.01 the conjugate maximizer e^(r/tau) passes 2^200 and |phi*| 1e171."""
         configs = Path(__file__).resolve().parents[1] / "configs"
         cfg = tmp_path / "cold.toml"
-        cfg.write_text("".join(line for line in (configs / "ou_shannon.toml").open(encoding="utf-8")
+        lines = (configs / "ou_shannon.toml").read_text(encoding="utf-8").splitlines(keepends=True)
+        cfg.write_text("".join(line for line in lines
                                if not line.startswith(("grid.lo", "grid.hi", "tau ")))
                        + "tau = 0.01\n", encoding="utf-8")
         proc = run_python("-m", "entroflow.cli", "--config", str(cfg),

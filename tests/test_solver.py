@@ -1,6 +1,7 @@
 """Flow solver: conservation, positivity, the sup bound, and the exact oracle."""
 
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -181,6 +182,31 @@ class TestEvolve:
         assert n == 4
         assert final.t == pytest.approx(0.01)
 
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(n_steps=st.integers(0, 30), every=st.integers(1, 12), fractional=st.booleans(),
+           observe=st.booleans())
+    def test_observer_schedule(self, coarse_gibbs, n_steps, every, fractional, observe):
+        """Records at time 0, after every ``record_every``-th step and after the
+        final step once; the steps taken and the final state do not depend on
+        whether anyone observes."""
+        dt = 0.25
+        t_final = (n_steps + (0.5 if fractional else 0.0)) * dt
+        cfg = SolverConfig(dt=dt, t_final=t_final, record_every=every)
+        state = init_state(coarse_gibbs, ou_relative_density(coarse_gibbs.grid, 0.5, 1.0, 1.0, 0.0))
+        records = []
+        final, n = evolve(state, cfg, observer=(lambda t, w: records.append((t, w))) if observe else None)
+        assert n == n_steps + fractional
+        assert final.t == t_final
+        if observe:
+            expected = [0.0] + [j * dt for j in range(every, n_steps + 1, every)]
+            if fractional or n_steps % every:
+                expected.append(t_final)
+            assert [t for t, _ in records] == expected
+            assert records[-1][1] is final.w
+        else:
+            observed, _ = evolve(state, cfg, observer=lambda t, w: None)
+            assert np.array_equal(final.w.values, observed.w.values)
+
 
 class TestCrankNicolson:
     def test_warns_on_undershoot(self, coarse_gibbs):
@@ -192,6 +218,19 @@ class TestCrankNicolson:
         cfg = SolverConfig(dt=0.5, t_final=0.5, scheme="crank-nicolson")
         with pytest.warns(RuntimeWarning, match="crank-nicolson"):
             evolve(state, cfg)
+
+    def test_warns_at_first_undershoot_only(self, coarse_gibbs):
+        """40 undershooting steps of a narrow bump give one warning, attributed to
+        the caller of ``evolve``, not one per step."""
+        x = coarse_gibbs.grid.nodes[:, 0]
+        bump = np.exp(-0.5 * (x - 0.5) ** 2 / 0.01) / coarse_gibbs.gamma.values
+        state = init_state(coarse_gibbs, ScalarField(coarse_gibbs.grid, bump))
+        cfg = SolverConfig(dt=0.5, t_final=20.0, scheme="crank-nicolson", record_every=40)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evolve(state, cfg, observer=lambda t, w: None)
+        assert [str(w.message).startswith("crank-nicolson step produced") for w in caught] == [True]
+        assert caught[0].filename == __file__
 
     def test_smooth_data_stays_positive(self, coarse_gibbs):
         state = init_state(coarse_gibbs, ou_relative_density(coarse_gibbs.grid, 0.5, 1.0, 1.0, 0.0))
@@ -329,6 +368,26 @@ class TestFastDiagonalization:
         state = init_state(gibbs, ScalarField(gibbs.grid, vals))
         with pytest.warns(RuntimeWarning, match="crank-nicolson"):
             evolve(state, SolverConfig(dt=0.5, t_final=0.5, scheme="crank-nicolson"))
+
+
+class TestConjugateGradients:
+    @pytest.mark.filterwarnings("ignore:crank-nicolson step produced")
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    @pytest.mark.parametrize("dt", [0.05, 1.0])
+    def test_matches_dense_solve(self, atoms9_gibbs, dt, scheme):
+        """One PCG step against ``np.linalg.solve`` of ``(D + coef L) y = D w``,
+        and ``2 y - w`` for Crank-Nicolson, in the D-norm: pointwise, the far
+        tail is only as good as the energy-norm stopping test."""
+        op = atoms9_gibbs.operator()
+        stepper = Stepper(op, dt, SolverConfig(dt=dt, t_final=1.0, scheme=scheme))
+        assert stepper.backend == "pcg"
+        w = np.exp(np.random.default_rng(5).normal(size=op.grid.num_nodes))
+        a = np.diag(op.node_mass) + stepper.coef * op.stiffness.toarray()
+        ref = np.linalg.solve(a, op.node_mass * w)
+        if scheme == "crank-nicolson":
+            ref = 2.0 * ref - w
+        err = stepper.advance(w) - ref
+        assert math.sqrt(op.inner(err, err) / op.inner(ref, ref)) <= 1e-11
 
 
 def abs_system(op, coef, v):
