@@ -21,7 +21,7 @@ def random_density(gibbs, rng, modes=4):
         for k in range(1, modes + 1):
             field += 0.6 * rng.normal() / k * np.cos(math.pi * k * x)
     w = np.exp(field)
-    return ef.ScalarField(g, w / gibbs.operator().inner(w, np.ones_like(w)))
+    return ef.ScalarField(g, w / gibbs.operator().inner(w, 1.0))
 
 
 lam = tau = 1.0

@@ -21,7 +21,7 @@ import numpy as np
 from .entropy import EntropyGenerator, conjugate_values
 from .grid import ScalarField, constant_field, integrate
 from .potential import GibbsField
-from .solver import SolverDiagnosticError
+from .solver import ROUNDOFF_FLOOR, SolverDiagnosticError
 
 
 @dataclass
@@ -55,12 +55,12 @@ class RateReport:
 def energy(w: ScalarField, gibbs: GibbsField, gen: EntropyGenerator) -> float:
     """Weighted integral of ``phi(w)`` against the Gibbs weight.
 
-    Entries in ``[-1e-12, 0)`` are treated as solver roundoff and evaluated
-    at 0; anything more negative is a genuine sign violation and rejected.
+    Entries in ``[-ROUNDOFF_FLOOR, 0)`` are solver roundoff, evaluated at 0;
+    anything more negative is a genuine sign violation and rejected.
     """
     if w.grid != gibbs.grid:
         raise ValueError("density lives on a different grid")
-    if np.any(w.values < -1e-12):
+    if np.any(w.values < -ROUNDOFF_FLOOR):
         raise ValueError("density has negative entries")
     vals = np.where(w.values > 0, gen.phi(np.maximum(w.values, 1e-300)), gen.phi_at_0)
     return integrate(ScalarField(w.grid, vals), weight=gibbs.gamma)
@@ -102,11 +102,15 @@ class DissipationReport:
     worst_increase: float
 
 
-def dissipation_check(records: list[EnergyRecord], tol_monotone: float = 1e-11) -> DissipationReport:
+# the largest record-to-record energy increase that still counts as monotone
+MONOTONE_TOL = 1e-11
+
+
+def dissipation_check(records: list[EnergyRecord]) -> DissipationReport:
     """Compare centered differences of the energy with the negated Fisher term.
 
     Needs at least three records.  Also reports whether the energy is
-    non-increasing record to record (within ``tol_monotone``).
+    non-increasing record to record (within ``MONOTONE_TOL``).
     """
     if len(records) < 3:
         raise ValueError("need at least 3 records for the dissipation check")
@@ -120,7 +124,7 @@ def dissipation_check(records: list[EnergyRecord], tol_monotone: float = 1e-11) 
     worst = float(np.max(increases)) if increases.size else 0.0
     return DissipationReport(
         max_rel_error=float(np.max(rel)),
-        monotone=bool(worst <= tol_monotone),
+        monotone=bool(worst <= MONOTONE_TOL),
         worst_increase=worst,
     )
 
@@ -203,13 +207,16 @@ def ou_relative_density(grid, m0: float, lam: float, tau: float, t: float) -> Sc
     return ScalarField(grid, np.exp(expo))
 
 
-def fit_decay_rate(records: list[EnergyRecord], e_star: float, lambda_theory: float,
-                   window: tuple[float, float] = (1e-6, 0.5)) -> RateReport:
+# the relative energy excess a rate fit uses: below the initial transient
+# at 0.5, above the quadrature noise floor at 1e-6
+FIT_WINDOW = (1e-6, 0.5)
+
+
+def fit_decay_rate(records: list[EnergyRecord], e_star: float, lambda_theory: float) -> RateReport:
     """Least-squares exponential rate of the energy excess over its floor.
 
     The fit runs on ``ln(energy - e_star)`` against time, restricted to
-    records whose relative excess lies inside ``window`` (default: below the
-    initial transient at 0.5, above the quadrature noise floor at 1e-6).
+    records whose relative excess lies inside ``FIT_WINDOW``.
     """
     if len(records) < 2:
         raise ValueError("need at least 2 records to fit a rate")
@@ -225,7 +232,7 @@ def fit_decay_rate(records: list[EnergyRecord], e_star: float, lambda_theory: fl
     if e0 <= 0:
         raise ValueError("first record is already at the minimum energy")
     rel = excess / e0
-    mask = usable & (rel >= window[0]) & (rel <= window[1])
+    mask = usable & (rel >= FIT_WINDOW[0]) & (rel <= FIT_WINDOW[1])
     if int(np.count_nonzero(mask)) < 2:
         raise ValueError("fewer than 2 records fall inside the fitting window")
     tt = t[mask]

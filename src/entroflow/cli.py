@@ -85,7 +85,7 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> dict:
         if cfg.snapshot_every > 0 and (len(records) - 1) % cfg.snapshot_every == 0:
             field_to_csv(w, out_dir / f"w_t{t:.6g}.csv")
 
-    final, steps = evolve(state, cfg.solver_config(), observer=observer)
+    final, steps = evolve(state, cfg, observer=observer)
     _write_timeseries(out_dir / "timeseries.csv", records)
 
     theory = lambda_rate(cfg.lam, cfg.tau, gibbs.m_grid)

@@ -91,15 +91,16 @@ def load_config_dict(path) -> dict:
     return parse_config_text(text)
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(SolverConfig):
     """One experiment, resolved: the objects a run is a fixed function of.
 
     ``resolve_config`` builds and validates ``grid``, ``generator`` and the
     ``data``, ``loss`` and ``activation`` of the potential (``data`` is
     ``None`` without a dataset), and joins ``initial_path`` onto the config
-    file's directory.  The solver settings stay plain numbers, from which
-    ``solver_config`` builds a ``SolverConfig``.
+    file's directory.  A ``RunConfig`` is the ``SolverConfig`` of its run:
+    the solver settings are its inherited fields, validated on construction,
+    and ``evolve`` takes the ``RunConfig`` itself.
     """
 
     lam: float
@@ -109,25 +110,12 @@ class RunConfig:
     data: model_mod.Dataset | None
     loss: model_mod.Loss
     activation: model_mod.Activation
-    dt: float
-    t_final: float
-    scheme: str
-    record_every: int
-    linear_tol: float
-    max_linear_iters: int
     initial_kind: str
     initial_mean: list[float]
     initial_stdev: float
     initial_path: Path | None
     seed: int
     snapshot_every: int
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            dt=self.dt, t_final=self.t_final, scheme=self.scheme,
-            linear_tol=self.linear_tol, record_every=self.record_every,
-            max_linear_iters=self.max_linear_iters,
-        )
 
     def build_gibbs(self) -> GibbsField:
         try:
@@ -153,12 +141,16 @@ class RunConfig:
             except OverflowError as exc:
                 raise ConfigError(f"initial.stdev = {self.initial_stdev:g} is too large: "
                                   f"its square overflows") from exc
+            if var == 0.0:
+                raise ConfigError(f"initial.stdev = {self.initial_stdev:g} is too small: "
+                                  f"its square underflows to 0")
             with np.errstate(over="ignore"):
                 dist2 = np.sum((grid.nodes - mean[None, :])**2, axis=1)
+                # over a subnormal variance the exponent may overflow to -inf: the bump is 0
+                bump = np.exp(-0.5 * dist2 / var)
             if not np.all(np.isfinite(dist2)):
                 raise ConfigError(f"initial.mean = {mean.tolist()} is too far from the grid: "
                                   f"its squared distance to a node overflows")
-            bump = np.exp(-0.5 * dist2 / var)
             if not np.any(bump > 0):
                 raise ConfigError("the initial gaussian underflows to 0 at every node")
             return ScalarField(grid, bump / gibbs.gamma.values)
@@ -293,7 +285,9 @@ def resolve_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
             raise ConfigError(f"initial.stdev must be positive, got {cfg.initial_stdev}")
         if cfg.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
-        cfg.solver_config()  # SolverConfig checks the solver settings
+        if cfg.snapshot_every < 0:
+            raise ConfigError(f"output.snapshot_every must be nonnegative, "
+                              f"got {cfg.snapshot_every}")
     except (ValueError, ArithmeticError, OSError) as exc:
         if isinstance(exc, ConfigError):
             raise

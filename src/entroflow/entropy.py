@@ -18,12 +18,16 @@ from typing import Callable
 import numpy as np
 
 
+# the least argument at which phi2_clamped and the numerical conjugate evaluate
+DOMAIN_FLOOR = 1e-12
+
+
 @dataclass(frozen=True)
 class EntropyGenerator:
     """A convex entropy generator with first and second derivatives.
 
     ``phi2`` may blow up at 0 (Shannon does); arguments below
-    ``domain_floor`` are clamped before evaluating it.
+    ``DOMAIN_FLOOR`` are clamped before evaluating it.
     """
 
     family: str
@@ -33,13 +37,12 @@ class EntropyGenerator:
     phi2: Callable[[np.ndarray], np.ndarray]
     phi_at_0: float
     q: float | None = None
-    domain_floor: float = 1e-12
     # optional closed-form Legendre conjugate, used as a fast path and as a
     # cross-check for the numerical conjugate
     conjugate: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
 
     def phi2_clamped(self, s: np.ndarray) -> np.ndarray:
-        return self.phi2(np.maximum(np.asarray(s, dtype=float), self.domain_floor))
+        return self.phi2(np.maximum(np.asarray(s, dtype=float), DOMAIN_FLOOR))
 
 
 def make_shannon(tau: float) -> EntropyGenerator:
@@ -77,18 +80,27 @@ def make_tsallis(q: float, tau: float) -> EntropyGenerator:
         raise ValueError(f"tau must be positive, got {tau}")
     c = tau / (q - 1.0)
 
+    # at a large q the powers overflow to inf or nan, which the energy and the
+    # assumption checks reject; each closure gets its own errstate (conj calls phi)
+    def quiet(f):
+        return np.errstate(over="ignore", invalid="ignore")(f)
+
+    @quiet
     def phi(s):
         s = np.asarray(s, dtype=float)
         return c * (s**q - 1.0 - q * (s - 1.0))
 
+    @quiet
     def phi1(s):
         s = np.asarray(s, dtype=float)
         return c * q * (s ** (q - 1.0) - 1.0)
 
+    @quiet
     def phi2(s):
         s = np.asarray(s, dtype=float)
         return tau * q * s ** (q - 2.0)
 
+    @quiet
     def conj(r):
         # maximizer solves phi1(s) = r; below phi1(0) = -tau*q/(q-1) the
         # supremum sits at s = 0 with value -phi(0) = -tau
@@ -155,18 +167,17 @@ def legendre_conjugate(gen: EntropyGenerator, r: float) -> float:
     """
     if not math.isfinite(r):
         raise ValueError(f"conjugate argument must be finite, got {r}")
-    floor = max(gen.domain_floor, 1e-300)
 
     def supremand(s):
         return s * r - float(gen.phi(np.array(s)))
 
     # supremum at the boundary when the slope never reaches r
-    if float(gen.phi1(np.array(floor))) >= r:
-        return max(supremand(0.0), supremand(floor))
+    if float(gen.phi1(np.array(DOMAIN_FLOOR))) >= r:
+        return max(supremand(0.0), supremand(DOMAIN_FLOOR))
 
     # double up to the largest float: every maximizer that is a float is bracketed
     big = float(np.finfo(float).max)
-    s_lo, s_hi = floor, 1.0
+    s_lo, s_hi = DOMAIN_FLOOR, 1.0
     while float(gen.phi1(np.array(s_hi))) < r:
         if s_hi == big:
             raise ArithmeticError(f"the conjugate maximizer for r={r} exceeds the float range")
@@ -211,6 +222,7 @@ class AssumptionReport:
         return [c.name for c in self.checks if not c.passed]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sample fails its check
 def check_assumptions(gen: EntropyGenerator) -> AssumptionReport:
     """Validate the structural assumptions on a generator, returning a report.
 

@@ -91,7 +91,8 @@ def build_potential(data: Dataset | None, loss: Loss | None, act: Activation | N
     else:
         gen_err = np.zeros(grid.num_nodes)
     m_envelope = certified_envelope(data, loss)
-    v = gen_err + 0.5 * lam * np.sum(nodes**2, axis=1)
+    with np.errstate(over="ignore"):  # V = inf on a huge box: the weight underflows below
+        v = gen_err + 0.5 * lam * np.sum(nodes**2, axis=1)
     raw = np.exp(-v / tau)
     if np.min(raw) < np.finfo(float).tiny:
         box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(grid.lo, grid.hi))
@@ -115,16 +116,19 @@ def build_potential(data: Dataset | None, loss: Loss | None, act: Activation | N
     )
 
 
-def default_box(lam: float, tau: float, dim: int, m_envelope: float = 0.0,
-                tail_tol: float = 1e-10) -> tuple[float, float]:
-    """Symmetric truncation box leaving relative Gaussian tail mass below tol.
+# the worst-case relative Gibbs mass that the automatic box leaves outside
+TAIL_TOL = 1e-10
+
+
+def default_box(lam: float, tau: float, dim: int, m_envelope: float = 0.0) -> tuple[float, float]:
+    """Symmetric truncation box leaving relative Gaussian tail mass below ``TAIL_TOL``.
 
     The tail of the Gibbs weight outside ``[-R, R]^d`` is controlled by the
     Gaussian envelope with the data term bounded by ``m_envelope``; the
     radius is chosen so the worst-case relative tail stays below
-    ``tail_tol``.
+    ``TAIL_TOL``.
     """
-    target = tail_tol / (2.0 * dim * math.exp(2.0 * m_envelope / tau))
+    target = TAIL_TOL / (2.0 * dim * math.exp(2.0 * m_envelope / tau))
     # invert the standard normal tail by bisection on erfc
     lo_r, hi_r = 1.0, 40.0
     for _ in range(200):

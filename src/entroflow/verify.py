@@ -30,7 +30,7 @@ from .config import RunConfig
 from .entropy import check_assumptions, conjugate_values, legendre_conjugate, psi_decompose
 from .grid import ScalarField
 from .potential import certified_envelope
-from .solver import evolve, init_state
+from .solver import ROUNDOFF_FLOOR, evolve, init_state
 
 
 @dataclass
@@ -45,15 +45,20 @@ class CheckResult:
                 "margin": self.margin, "detail": self.detail}
 
 
-def _smooth_density(gibbs, rng, roughness=0.6, modes=4) -> ScalarField:
+# the random smooth densities: log w is a sum of MODES cosines per axis,
+# the k-th with amplitude ROUGHNESS * N(0, 1) / k
+ROUGHNESS, MODES = 0.6, 4
+
+
+def _smooth_density(gibbs, rng) -> ScalarField:
     g = gibbs.grid
     field = np.zeros(g.n)
     for a in range(g.dim):
         # each cosine depends on one coordinate: evaluate on the axis, broadcast
         x = (g.axis_coords(a) - g.lo[a]) / (g.hi[a] - g.lo[a])
         x = x.reshape([-1 if b == a else 1 for b in range(g.dim)])
-        for k in range(1, modes + 1):
-            field += roughness * rng.normal() / k * np.cos(math.pi * k * x)
+        for k in range(1, MODES + 1):
+            field += ROUGHNESS * rng.normal() / k * np.cos(math.pi * k * x)
     w = np.exp(field).ravel()
     mass = gibbs.operator().inner(w, 1.0)
     return ScalarField(g, w / mass)
@@ -222,7 +227,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
     ))
 
     # ---- a short trajectory -------------------------------------------------
-    short = replace(cfg.solver_config(), t_final=min(cfg.t_final, 200.0 * cfg.dt),
+    short = replace(cfg, t_final=min(cfg.t_final, 200.0 * cfg.dt),
                     record_every=max(1, min(cfg.record_every, 20)))
     records = []
     evolve(init_state(gibbs, w0), short, observer=lambda t, w: records.append(snapshot(t, w, gibbs, gen)))
@@ -233,7 +238,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
     ))
     min_w = min(r.w_min for r in records)
     results.append(CheckResult(
-        "solver.positivity", min_w >= -1e-12, min_w + 1e-12,
+        "solver.positivity", min_w >= -ROUNDOFF_FLOOR, min_w + ROUNDOFF_FLOOR,
         f"min density value along the trajectory {min_w:.3e}",
     ))
     sup0 = records[0].w_max

@@ -74,7 +74,7 @@ def ou_run():
             records[name].append(snapshot(t, w, gibbs, gen))
 
     started = time.perf_counter()
-    final, steps = evolve(state, cfg.solver_config(), observer=observer)
+    final, steps = evolve(state, cfg, observer=observer)
     elapsed = time.perf_counter() - started
     return {
         "cfg": cfg, "gibbs": gibbs, "gens": gens, "records": records,
@@ -91,7 +91,7 @@ def atoms_run():
     state = init_state(gibbs, cfg.initial_density(gibbs))
     records = []
     started = time.perf_counter()
-    final, steps = evolve(state, cfg.solver_config(),
+    final, steps = evolve(state, cfg,
                           observer=lambda t, w: records.append(snapshot(t, w, gibbs, gen)))
     elapsed = time.perf_counter() - started
     return {

@@ -247,6 +247,12 @@ INVALID = [
     # tau/lambda overflows: sqrt(tau/lambda), the default initial.stdev and box scale, is inf
     ({"lambda": 1e-310}, "lambda = 1e-310 is too small for tau = 1.0"),
     ({"grid.hi": None}, "grid.lo and grid.hi must be given together"),
+    # the step count t_final / dt overflows
+    ({"solver.dt": 5e-324}, "invalid configuration: t_final / dt must be finite"),
+    ({"solver.t_final": 1e300, "solver.dt": 1e-300},
+     "invalid configuration: t_final / dt must be finite"),
+    ({"solver.max_iters": 0}, "invalid configuration: max_linear_iters must be at least 1"),
+    ({"output.snapshot_every": -1}, "output.snapshot_every must be nonnegative"),
 ]
 
 
@@ -455,6 +461,13 @@ ESCAPED = {
     "gaussian-vanishes-on-grid": (FAST_OU + "initial.stdev = 1e-6\n", None, ["run"], 2),
     "gaussian-variance-overflows": (FAST_OU + "initial.stdev = 1e160\n", None, ["verify"], 2),
     "gaussian-mean-overflows": (FAST_OU + "initial.mean = [1e200]\n", None, ["run"], 2),
+    "gaussian-variance-underflows": (FAST_OU + "initial.stdev = 1e-300\n", None, ["run"], 2),
+    "gaussian-variance-subnormal": (FAST_OU + "initial.stdev = 1e-160\n", None, ["run"], 2),
+    "potential-overflows": (FAST_OU.replace("grid.lo = [-6.0]", "grid.lo = [-1e300]")
+                            .replace("grid.hi = [6.0]", "grid.hi = [1e300]"), None, ["run"], 2),
+    "tsallis-power-overflows": (
+        FAST_OU.replace('entropy.family = "shannon"', 'entropy.family = "tsallis"')
+        + "entropy.q = 1e300\n", None, ["run"], 3),
     # the flow's density goes negative: Crank-Nicolson on a narrow bump
     "crank-nicolson-goes-negative": (
         FAST_OU.replace("solver.dt = 2e-3", "solver.dt = 0.2")
@@ -623,6 +636,18 @@ class TestVerifyCommand:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("solver diagnostic:")
+
+    def test_overflowing_tsallis_fails_quietly(self, tmp_path, capsys):
+        """At q = 1e300 the Tsallis powers overflow: the structural checks fail
+        with exit 1, and numpy warns of nothing."""
+        cfg = tmp_path / "huge_q.toml"
+        cfg.write_text(FAST_OU.replace('entropy.family = "shannon"', 'entropy.family = "tsallis"')
+                       + "entropy.q = 1e300\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"]) == 1
+        assert not [str(w.message) for w in caught]
+        assert capsys.readouterr().err == "3 of 5 checks failed\n"
 
     def test_invalid_entropy_fails_with_exit_1(self, tmp_path):
         cfg = tmp_path / "probe.toml"

@@ -502,7 +502,7 @@ class TestTridiagonal:
         gibbs = cfg.build_gibbs()
         op = gibbs.operator()
         masses = []
-        _, n_steps = evolve(init_state(gibbs, cfg.initial_density(gibbs)), cfg.solver_config(),
+        _, n_steps = evolve(init_state(gibbs, cfg.initial_density(gibbs)), cfg,
                             observer=lambda t, w: masses.append(op.inner(w.values, 1.0)))
         assert n_steps == 3000 and solver_backend(op) == "tridiag"
         assert max(abs(m - 1.0) for m in masses) <= 1e-12
@@ -529,7 +529,7 @@ class TestBackendSelection:
         atoms = load_config(CONFIGS / "atoms2d.toml")
         atoms.t_final = 0.02
         gibbs = atoms.build_gibbs()
-        evolve(init_state(gibbs, constant_field(gibbs.grid, 1.0)), atoms.solver_config())
+        evolve(init_state(gibbs, constant_field(gibbs.grid, 1.0)), atoms)
         ou3d = resolve_config({
             "lambda": 1.0, "tau": 1.0, "grid.dim": 3, "grid.lo": [-4.0, -3.0, -5.0],
             "grid.hi": [3.0, 5.0, 4.0], "grid.n": [7, 9, 11], "solver.dt": 1e-2,
