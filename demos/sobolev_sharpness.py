@@ -2,7 +2,9 @@
 # The entropy-to-Fisher ratio bound and its sharpness.  On the pure Gaussian
 # weight the ratio of any unit-mass density is at most tau/(2*lambda), and
 # translated Gaussians attain it.  A bounded data term degrades the constant
-# by at most exp(2*M/tau).
+# by at most exp(2*M/tau).  On the 401-node grid the translates print about
+# 0.50005, a little above the continuum bound 0.5: the grid's own
+# constant 1/(2 mu_1) = 0.500055, with mu_1 its spectral gap, is larger.
 #
 # Usage: python demos/sobolev_sharpness.py
 import math
@@ -46,10 +48,12 @@ for label, gibbs in (("clean Gaussian", clean), ("three-atom potential", perturb
         if r is not None:
             ratios.append(r)
     print(f"{label}: data-term bound M = {gibbs.m_grid:.4f}, ratio bound = {bound:.4f}")
+    violations = sum(r > bound for r in ratios)
     print(f"  {len(ratios)} random densities: max ratio {max(ratios):.4f}, "
-          f"median {np.median(ratios):.4f}, violations 0\n")
+          f"median {np.median(ratios):.4f}, violations {violations}\n")
 
-print("sharpness on translates (clean weight, ratio -> tau/(2 lambda) = 0.5):")
+print("sharpness on translates (clean weight, ratio -> tau/(2 lambda) = 0.5; the grid's\n"
+      "own constant 1/(2 mu_1) = 0.500055 is larger, so they print about 0.50005):")
 for m0 in (0.2, 0.4, 0.6):
     w = ef.init_state(clean, ef.ou_relative_density(grid1, m0, lam, tau, 0.0)).w
     print(f"  translate m0 = {m0}: ratio = {ef.sobolev_ratio(w, clean, gen):.6f}")

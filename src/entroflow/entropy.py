@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 
-# the least argument at which phi2_clamped and the numerical conjugate evaluate
+# the least argument at which the Fisher term and the numerical conjugate evaluate
 DOMAIN_FLOOR = 1e-12
 
 
@@ -26,8 +26,8 @@ DOMAIN_FLOOR = 1e-12
 class EntropyGenerator:
     """A convex entropy generator with first and second derivatives.
 
-    ``phi2`` may blow up at 0 (Shannon does); arguments below
-    ``DOMAIN_FLOOR`` are clamped before evaluating it.
+    ``phi1`` may diverge at 0 (Shannon's is ``-inf`` there); the Fisher term
+    clamps its arguments at ``DOMAIN_FLOOR`` before evaluating it.
     """
 
     family: str
@@ -40,9 +40,6 @@ class EntropyGenerator:
     # optional closed-form Legendre conjugate, used as a fast path and as a
     # cross-check for the numerical conjugate
     conjugate: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
-
-    def phi2_clamped(self, s: np.ndarray) -> np.ndarray:
-        return self.phi2(np.maximum(np.asarray(s, dtype=float), DOMAIN_FLOOR))
 
 
 def make_shannon(tau: float) -> EntropyGenerator:
@@ -73,27 +70,33 @@ def make_shannon(tau: float) -> EntropyGenerator:
 
 
 def make_tsallis(q: float, tau: float) -> EntropyGenerator:
-    """Tsallis generator ``tau/(q-1) * (s^q - 1 - q(s-1))``, ``q > 1``."""
+    """Tsallis generator ``tau/(q-1) * (s^q - 1 - q(s-1))``, ``q > 1``.
+
+    Evaluated as ``tau (s lnq(s) - s + 1)``, ``phi1 = tau q lnq(s)``, through the
+    q-logarithm ``expm1((q-1) ln s)/(q-1)``, which keeps its digits as ``q -> 1``.
+    """
     if q <= 1:
         raise ValueError(f"q must exceed 1, got {q}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    c = tau / (q - 1.0)
 
     # at a large q the powers overflow to inf or nan, which the energy and the
-    # assumption checks reject; each closure gets its own errstate (conj calls phi)
+    # assumption checks reject; each closure gets its own errstate (conj calls phi).
+    # log(0) = -inf is meant: it gives lnq(0) = -1/(q-1) and phi(0) = tau exactly
     def quiet(f):
-        return np.errstate(over="ignore", invalid="ignore")(f)
+        return np.errstate(over="ignore", invalid="ignore", divide="ignore")(f)
+
+    def lnq(s):
+        return np.expm1((q - 1.0) * np.log(s)) / (q - 1.0)
 
     @quiet
     def phi(s):
         s = np.asarray(s, dtype=float)
-        return c * (s**q - 1.0 - q * (s - 1.0))
+        return tau * (s * lnq(s) - s + 1.0)
 
     @quiet
     def phi1(s):
-        s = np.asarray(s, dtype=float)
-        return c * q * (s ** (q - 1.0) - 1.0)
+        return tau * q * lnq(np.asarray(s, dtype=float))
 
     @quiet
     def phi2(s):
@@ -102,11 +105,10 @@ def make_tsallis(q: float, tau: float) -> EntropyGenerator:
 
     @quiet
     def conj(r):
-        # maximizer solves phi1(s) = r; below phi1(0) = -tau*q/(q-1) the
-        # supremum sits at s = 0 with value -phi(0) = -tau
+        # maximizer solves lnq(s) = r/(tau q); at or below phi1(0) = -tau*q/(q-1)
+        # log1p(-1) = -inf puts it at s = 0, with value -phi(0) = -tau
         r = np.asarray(r, dtype=float)
-        base = 1.0 + r * (q - 1.0) / (tau * q)
-        s_star = np.where(base > 0.0, np.maximum(base, 0.0) ** (1.0 / (q - 1.0)), 0.0)
+        s_star = np.exp(np.log1p(np.maximum((q - 1.0) * r / (tau * q), -1.0)) / (q - 1.0))
         return s_star * r - phi(s_star)
 
     return EntropyGenerator(
@@ -281,9 +283,9 @@ def check_assumptions(gen: EntropyGenerator) -> AssumptionReport:
         f"phi(s)/s over s = 10..1e6: {np.array2string(ratios, precision=3)}",
     ))
 
-    near0 = float(np.abs(gen.phi2_clamped(np.array(1e-10))))
+    near0 = float(np.abs(gen.phi2(np.array(1e-10))))
     at1 = float(np.abs(gen.phi2(np.array(1.0))))
     if near0 > 1e6 * max(at1, 1e-300):
-        notes.append("phi'' is unbounded near 0; evaluations are clamped at the domain floor")
+        notes.append("phi'' is unbounded near 0; the Fisher term clamps w at the domain floor")
 
     return AssumptionReport(checks=checks, notes=notes)

@@ -215,7 +215,7 @@ class WeightedOperator:
 
     @cached_property
     def stiffness(self):
-        """Reference ``scipy.sparse`` CSR matrix of ``L``: ``w^T L w = edge_form(w)``.
+        """Reference ``scipy.sparse`` CSR matrix of ``L``: ``w^T L v = edge_form(w, v)``.
 
         Tests compare ``apply_stiffness`` with it; no solver path reads it.
         """
@@ -304,18 +304,10 @@ class WeightedOperator:
         """Weighted inner product ``sum_i a_i b_i gamma_i quad_weight_i``."""
         return float(np.dot(a * b, self.node_mass))
 
-    def edge_form(self, w: np.ndarray, phi2=None) -> float:
-        """Edge quadrature ``sum_e phi2(mid_e) c_e (w_j - w_i)^2``, ``mid_e`` the endpoints' mean.
-
-        Without ``phi2`` (taken as 1) it equals ``<-G w, w>``.
-        """
-        total = 0.0
-        for s, cond in zip(self.strides, self.axis_cond):
-            dw = w[s:] - w[:-s]
-            if phi2 is not None:
-                cond = phi2(0.5 * (w[:-s] + w[s:])) * cond
-            total += float(np.vdot(cond, dw * dw))
-        return total
+    def edge_form(self, w: np.ndarray, v: np.ndarray) -> float:
+        """The bilinear form ``sum_e c_e (w_j - w_i)(v_j - v_i)``, equal to ``<-G w, v>``."""
+        return sum(float(np.vdot(cond * (w[s:] - w[:-s]), v[s:] - v[:-s]))
+                   for s, cond in zip(self.strides, self.axis_cond))
 
 
 def field_to_csv(f: ScalarField, path) -> None:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroflow import (
     Dataset,
@@ -32,6 +34,8 @@ from entroflow import (
     snapshot,
     sobolev_ratio,
 )
+from entroflow.entropy import DOMAIN_FLOOR
+from entroflow.solver import Stepper
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +50,17 @@ def atom_gibbs():
     data = Dataset(z=[[-0.5], [0.0], [0.6]], y=[0.2, 0.8, 0.5], weight=[0.1, 0.1, 0.1])
     g = build_grid(2, -7, 7, 61)
     return build_potential(data, saturating_squared_loss(), arctan_sigmoid(), 1.0, 1.0, g)
+
+
+def random_weight_gibbs(grid, rng, tau=1.0):
+    """A Gibbs field whose weight is random at every node (not normalized)."""
+    gamma = ScalarField(grid, np.exp(rng.normal(size=grid.num_nodes)))
+    return GibbsField(grid=grid, gamma=gamma, Z=1.0, Z_raw=1.0, m_grid=0.0, m_envelope=0.0,
+                      lam=1.0, tau=tau)
+
+
+GENERATORS = [make_shannon(0.7), make_tsallis(1.5, 1.0), make_tsallis(2.5, 0.5),
+              make_tsallis(4.0, 2.0)]
 
 
 def random_positive_density(gibbs, rng, roughness=0.6, modes=4):
@@ -122,6 +137,41 @@ class TestFisher:
             errors.append(abs(fisher(w, gibbs, make_shannon(1.0)) - exact))
         orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
         assert min(orders) > 0.9
+
+    @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: f"{g.family}-{g.q}")
+    @pytest.mark.parametrize("n", [(30,), (9, 7), (5, 4, 6)], ids=lambda n: f"{len(n)}d")
+    def test_is_phi1_against_the_stiffness(self, n, gen):
+        """Summation by parts: the edge sum equals ``<phi'(max(w, DOMAIN_FLOOR)), L w>``."""
+        g = build_grid(len(n), -1.0, [1.0 + 0.2 * a for a in range(len(n))], n)
+        rng = np.random.default_rng(len(n))
+        gibbs = random_weight_gibbs(g, rng, gen.tau)
+        for _ in range(5):
+            w = np.exp(1.5 * rng.normal(size=g.num_nodes))
+            stiffness_w = gibbs.operator().apply_stiffness(w)
+            direct = np.dot(gen.phi1(np.maximum(w, DOMAIN_FLOOR)), stiffness_w)
+            assert fisher(ScalarField(g, w), gibbs, gen) == pytest.approx(direct, rel=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(n=st.lists(st.integers(3, 9), min_size=1, max_size=2),
+           gen=st.sampled_from(GENERATORS + [make_tsallis(2.0, 1.0)]), seed=st.integers(0, 2**32))
+    def test_implicit_euler_step_falls_by_at_least_dt_fisher(self, n, gen, seed):
+        """One implicit-Euler step ``D (y - w) = -dt L y`` has ``E(w) - E(y) >= dt F(y)``.
+
+        By convexity ``E(w) - E(y) >= <phi'(y), D (w - y)> = dt <phi'(y), L y>``,
+        which is the Fisher term at ``y``.  The slack, 1e-10 of ``E(w)``, covers the
+        roundoff of the two energies and the PCG residual of the 2-d random
+        weights; the margin itself is second order in ``y - w``.  The seed draws
+        the weight, ``dt`` in [1e-3, 10] and a density spread over decades.
+        """
+        g = build_grid(len(n), -1.0, 1.0, n)
+        rng = np.random.default_rng(seed)
+        gibbs = random_weight_gibbs(g, rng, gen.tau)
+        dt = 10.0 ** rng.uniform(-3.0, 1.0)
+        w = ScalarField(g, np.exp(rng.uniform(0.1, 3.0) * rng.normal(size=g.num_nodes)))
+        y = ScalarField(g, Stepper(gibbs.operator(), dt, SolverConfig(dt=dt, t_final=dt))
+                        .advance(w.values))
+        drop = energy(w, gibbs, gen) - energy(y, gibbs, gen)
+        assert drop >= dt * fisher(y, gibbs, gen) - 1e-10 * energy(w, gibbs, gen)
 
 
 class TestDissipation:

@@ -418,6 +418,31 @@ class TestRunCommand:
                 lines = [header] + [",".join(map(repr, row)) for row in rows]
                 assert path.read_bytes() == ("\n".join(lines) + "\n").encode(), path.name
 
+    @pytest.mark.parametrize("text,t_final,every", [(FAST_OU, 0.7, 20), (FAST_OU_3D, 0.1, 2)],
+                             ids=["1d", "3d"])
+    def test_run_restarts_from_a_written_snapshot(self, tmp_path, text, t_final, every):
+        """A run from a written ``w_t*.csv`` (``initial.kind = "from-file"``) repeats
+        the tail of the run that wrote it: energy, mass, ``w_min`` and ``w_max`` to
+        1e-12 relative.  The snapshot lies on a multiple of ``record_every`` steps,
+        so the two runs record the same states."""
+        first, out = tmp_path / "first.toml", tmp_path / "first"
+        first.write_text(text + f"output.snapshot_every = {every}\n", encoding="utf-8")
+        assert main(["--config", str(first), "--out", str(out), "run"]) == 0
+        records = read_timeseries(out / "timeseries.csv")
+        start = records[every].t
+        restart = tmp_path / "restart.toml"
+        restart.write_text(
+            text.replace(f"solver.t_final = {t_final}", f"solver.t_final = {t_final - start!r}")
+            .replace('initial.kind = "gaussian"', 'initial.kind = "from-file"')
+            + f"initial.path = {str(out / f'w_t{start:.6g}.csv')!r}\n", encoding="utf-8")
+        assert main(["--config", str(restart), "--out", str(tmp_path / "restart"), "run"]) == 0
+        tail = read_timeseries(tmp_path / "restart" / "timeseries.csv")
+        assert len(tail) == len(records) - every
+        for key in ("energy", "mass", "w_min", "w_max"):
+            np.testing.assert_allclose([getattr(r, key) for r in tail],
+                                       [getattr(r, key) for r in records[every:]],
+                                       rtol=1e-12, err_msg=key)
+
 
 SMOKE_BASE = """\
 lambda = 1.0

@@ -156,7 +156,7 @@ class TestWeightedOperator:
             w -= w.mean()
             if np.max(np.abs(w)) < 1e-12:
                 continue
-            assert op.edge_form(w) > 1e-10
+            assert op.edge_form(w, w) > 1e-10
 
     def test_symmetry_in_weighted_inner_product(self):
         g = build_grid(1, -1, 1, 17)
@@ -188,13 +188,15 @@ class TestWeightedOperator:
         rng = np.random.default_rng(13 + dim)
         gamma = ScalarField(g, np.exp(rng.normal(size=g.num_nodes)))
         op = WeightedOperator(g, gamma)
-        w = rng.normal(size=g.num_nodes)
+        # a positive w: the Fisher term below reads it as a density
+        w = np.exp(rng.normal(size=g.num_nodes))
         v = rng.normal(size=g.num_nodes)
         brute = _edge_form_bruteforce(g, gamma.values, w, v)
         np.testing.assert_allclose(op.inner(-op.apply(w), v), brute, rtol=1e-11)
+        np.testing.assert_allclose(op.edge_form(w, v), brute, rtol=1e-11)
         brute_ww = _edge_form_bruteforce(g, gamma.values, w, w)
-        np.testing.assert_allclose(op.edge_form(w), brute_ww, rtol=1e-11)
-        # Tsallis q = 2, tau = 1/2 has phi'' = 1, so the Fisher term is the edge form
+        np.testing.assert_allclose(op.edge_form(w, w), brute_ww, rtol=1e-11)
+        # Tsallis q = 2, tau = 1/2 has phi'(w) = w - 1, so the Fisher term is the edge form
         tau = 0.5
         gibbs = GibbsField(grid=g, gamma=gamma, Z=1.0, Z_raw=1.0, m_grid=0.0, m_envelope=0.0,
                            lam=1.0, tau=tau)
