@@ -40,10 +40,13 @@ def _out_dir(path: Path) -> None:
         raise ConfigError(f"cannot use --out {path}: {exc.strerror}") from exc
 
 
+# the columns of timeseries.csv, each an EnergyRecord field
+TIMESERIES_COLUMNS = ("t", "energy", "fisher", "mass", "w_min", "w_max")
+
+
 def _write_timeseries(path: Path, records: list[EnergyRecord]) -> None:
-    lines = ["t,energy,fisher,mass,w_min,w_max"]
-    for r in records:
-        lines.append(f"{r.t!r},{r.energy!r},{r.fisher!r},{r.mass!r},{r.w_min!r},{r.w_max!r}")
+    lines = [",".join(TIMESERIES_COLUMNS)]
+    lines += [",".join(repr(getattr(r, c)) for c in TIMESERIES_COLUMNS) for r in records]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -53,14 +56,12 @@ def read_timeseries(path: Path) -> list[EnergyRecord]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            expected = ["t", "energy", "fisher", "mass", "w_min", "w_max"]
-            if header != expected:
-                raise ValueError(f"expected columns {expected}, got {header}")
+            if header != list(TIMESERIES_COLUMNS):
+                raise ValueError(f"expected columns {list(TIMESERIES_COLUMNS)}, got {header}")
             for line in fh:
                 if line.strip():
-                    t, e, f, m, lo, hi = (float(v) for v in line.split(","))
-                    records.append(EnergyRecord(t=t, energy=e, fisher=f, mass=m,
-                                                w_min=lo, w_max=hi))
+                    values = map(float, line.split(","))
+                    records.append(EnergyRecord(**dict(zip(TIMESERIES_COLUMNS, values, strict=True))))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return records

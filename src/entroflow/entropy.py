@@ -24,22 +24,26 @@ DOMAIN_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EntropyGenerator:
-    """A convex entropy generator with first and second derivatives.
+    """A convex entropy generator: ``phi``, its derivative ``phi1``, and an
+    optional closed-form Legendre conjugate.
 
-    ``phi1`` may diverge at 0 (Shannon's is ``-inf`` there); the Fisher term
-    clamps its arguments at ``DOMAIN_FLOOR`` before evaluating it.
+    ``phi`` must be finite at 0; ``phi_at_0`` is derived from it.  ``phi1`` may
+    diverge at 0 (Shannon's is ``-inf`` there); the Fisher term clamps its
+    arguments at ``DOMAIN_FLOOR`` before evaluating it.
     """
 
     family: str
     tau: float
     phi: Callable[[np.ndarray], np.ndarray]
     phi1: Callable[[np.ndarray], np.ndarray]
-    phi2: Callable[[np.ndarray], np.ndarray]
-    phi_at_0: float
     q: float | None = None
     # optional closed-form Legendre conjugate, used as a fast path and as a
     # cross-check for the numerical conjugate
     conjugate: Callable[[np.ndarray], np.ndarray] | None = field(default=None)
+
+    @property
+    def phi_at_0(self) -> float:
+        return float(self.phi(np.array(0.0)))
 
 
 def make_shannon(tau: float) -> EntropyGenerator:
@@ -56,16 +60,12 @@ def make_shannon(tau: float) -> EntropyGenerator:
         with np.errstate(divide="ignore"):
             return tau * np.log(s)
 
-    def phi2(s):
-        return tau / np.asarray(s, dtype=float)
-
     def conj(r):
         r = np.asarray(r, dtype=float)
         return tau * np.expm1(r / tau)
 
     return EntropyGenerator(
-        family="shannon", tau=float(tau), phi=phi, phi1=phi1, phi2=phi2,
-        phi_at_0=float(tau), conjugate=conj,
+        family="shannon", tau=float(tau), phi=phi, phi1=phi1, conjugate=conj,
     )
 
 
@@ -99,11 +99,6 @@ def make_tsallis(q: float, tau: float) -> EntropyGenerator:
         return tau * q * lnq(np.asarray(s, dtype=float))
 
     @quiet
-    def phi2(s):
-        s = np.asarray(s, dtype=float)
-        return tau * q * s ** (q - 2.0)
-
-    @quiet
     def conj(r):
         # maximizer solves lnq(s) = r/(tau q); at or below phi1(0) = -tau*q/(q-1)
         # log1p(-1) = -inf puts it at s = 0, with value -phi(0) = -tau
@@ -112,8 +107,7 @@ def make_tsallis(q: float, tau: float) -> EntropyGenerator:
         return s_star * r - phi(s_star)
 
     return EntropyGenerator(
-        family="tsallis", tau=float(tau), q=float(q), phi=phi, phi1=phi1, phi2=phi2,
-        phi_at_0=float(tau), conjugate=conj,
+        family="tsallis", tau=float(tau), q=float(q), phi=phi, phi1=phi1, conjugate=conj,
     )
 
 
@@ -123,8 +117,6 @@ def make_nonconvex_probe() -> EntropyGenerator:
         family="nonconvex-probe", tau=1.0,
         phi=lambda s: -((np.asarray(s, dtype=float) - 1.0) ** 2),
         phi1=lambda s: -2.0 * (np.asarray(s, dtype=float) - 1.0),
-        phi2=lambda s: np.full_like(np.asarray(s, dtype=float), -2.0),
-        phi_at_0=-1.0,
     )
 
 
@@ -214,7 +206,6 @@ class AssumptionCheck:
 @dataclass
 class AssumptionReport:
     checks: list[AssumptionCheck]
-    notes: list[str]
 
     @property
     def all_passed(self) -> bool:
@@ -228,27 +219,21 @@ class AssumptionReport:
 def check_assumptions(gen: EntropyGenerator) -> AssumptionReport:
     """Validate the structural assumptions on a generator, returning a report.
 
-    Checked on sample grids: smoothness (derivatives against centered finite
-    differences on the open half-line), the normalization ``phi(1) = 0``,
-    nonnegativity and strict convexity, and superlinear growth of
-    ``phi(s)/s``.  A generator whose second derivative blows up near 0 is
-    flagged in the notes rather than failed.
+    Checked on sample grids: smoothness (``phi1`` against centered finite
+    differences of ``phi`` on the open half-line), the normalization
+    ``phi(1) = 0``, nonnegativity and strict convexity on ``[0, inf)``, and
+    superlinear growth of ``phi(s)/s``.
     """
     checks: list[AssumptionCheck] = []
-    notes: list[str] = []
 
     s_smooth = np.geomspace(1e-3, 1e3, 41)
     eps = 1e-6 * s_smooth
     fd1 = (gen.phi(s_smooth + eps) - gen.phi(s_smooth - eps)) / (2 * eps)
     an1 = gen.phi1(s_smooth)
     rel1 = np.max(np.abs(fd1 - an1) / np.maximum(np.abs(an1), 1.0))
-    fd2 = (gen.phi1(s_smooth + eps) - gen.phi1(s_smooth - eps)) / (2 * eps)
-    an2 = gen.phi2(s_smooth)
-    rel2 = np.max(np.abs(fd2 - an2) / np.maximum(np.abs(an2), 1.0))
-    smooth_ok = bool(rel1 < 1e-5 and rel2 < 1e-5)
     checks.append(AssumptionCheck(
-        "P1-smoothness", smooth_ok,
-        f"max relative derivative mismatch {max(rel1, rel2):.2e} on (0, inf) samples",
+        "P1-smoothness", bool(rel1 < 1e-5),
+        f"max relative derivative mismatch {rel1:.2e} on (0, inf) samples",
     ))
 
     v1 = float(gen.phi(np.array(1.0)))
@@ -256,14 +241,13 @@ def check_assumptions(gen: EntropyGenerator) -> AssumptionReport:
 
     s_pos = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 101)])
     vals = gen.phi(s_pos)
-    vals = np.where(s_pos == 0.0, gen.phi_at_0, vals)
     min_val = float(np.min(vals))
     checks.append(AssumptionCheck(
         "P3-positivity", min_val >= -1e-15, f"min phi on [0, 1e4] samples = {min_val:.3e}",
     ))
 
     s_conv = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 81)])
-    f = np.where(s_conv == 0.0, gen.phi_at_0, gen.phi(s_conv))
+    f = gen.phi(s_conv)
     # second divided differences over consecutive triples, relative to the
     # slopes' roundoff scale (|f_a| + |f_b|) / (s_b - s_a): each f carries a
     # few ulps of error, which alone reach about -1e-16 here (Tsallis q = 5)
@@ -283,9 +267,4 @@ def check_assumptions(gen: EntropyGenerator) -> AssumptionReport:
         f"phi(s)/s over s = 10..1e6: {np.array2string(ratios, precision=3)}",
     ))
 
-    near0 = float(np.abs(gen.phi2(np.array(1e-10))))
-    at1 = float(np.abs(gen.phi2(np.array(1.0))))
-    if near0 > 1e6 * max(at1, 1e-300):
-        notes.append("phi'' is unbounded near 0; the Fisher term clamps w at the domain floor")
-
-    return AssumptionReport(checks=checks, notes=notes)
+    return AssumptionReport(checks=checks)

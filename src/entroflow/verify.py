@@ -221,6 +221,9 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
         if op.axis_eigenbasis is not None:
             mu_1 = min(float(mu[1]) for mu, _ in op.axis_eigenbasis)
             detail += f"; discrete 1/(2 mu_1) = {0.5 / mu_1:.6f}"
+    if gen.family == "tsallis" and gen.q > 2.0:
+        # phi-Sobolev inequalities need 1/phi'' concave (Chafaï 2004), which is q <= 2
+        detail += "; the bound is proved for Tsallis q in (1, 2] only"
     results.append(CheckResult(
         "energy.sobolev_ratio_bound", ratio_worst <= bound_ratio, bound_ratio - ratio_worst,
         detail,

@@ -305,3 +305,25 @@ def test_criterion_11_discretization_convergence():
     assert min(orders_dt) >= 0.9
     print(f"\nACCEPTANCE 11 PASS: spatial orders {[f'{o:.2f}' for o in orders_h]}, "
           f"time orders {[f'{o:.2f}' for o in orders_dt]}")
+
+
+def test_criterion_12_tsallis_energy_values(ou_run):
+    """Tsallis energies match the translated-Gaussian closed form at t = 0, 0.5, 1, 2.
+
+    With ``w = exp(lam m x/tau - lam m^2/(2 tau))`` against the Gaussian weight,
+    ``integral w^q = exp(q(q-1) lam m^2/(2 tau))``, so the energy is
+    ``tau/(q-1) (exp(q(q-1) lam m(t)^2/(2 tau)) - 1)``; the benchmark has
+    ``lam = tau = 1`` and ``m(t) = 0.5 e^{-t}``.
+    """
+    worst = 0.0
+    for q in (1.5, 2.0, 3.0):
+        records = ou_run["records"][f"tsallis-{q:g}"]
+        for t in (0.0, 0.5, 1.0, 2.0):
+            rec = min(records, key=lambda r: abs(r.t - t))
+            assert abs(rec.t - t) < 1e-9
+            m = 0.5 * math.exp(-t)
+            exact = math.expm1(q * (q - 1.0) * m * m / 2.0) / (q - 1.0)
+            assert rec.energy == pytest.approx(exact, rel=0.02)
+            worst = max(worst, abs(rec.energy / exact - 1.0))
+    print(f"\nACCEPTANCE 12 PASS: Tsallis q = 1.5, 2, 3 energies within {worst:.2%} "
+          "of the closed form (tolerance 2%)")

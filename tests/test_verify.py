@@ -56,3 +56,22 @@ def test_smooth_density_matches_per_node_formula():
     expected = w / gibbs.operator().inner(w, np.ones_like(w))
     got = _smooth_density(gibbs, np.random.default_rng(17))
     assert np.all(got.values == expected)
+
+
+@pytest.mark.parametrize("q", [2.5, 2.0])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sobolev_detail_names_the_tsallis_proviso(tmp_path, q, seed):
+    """phi-Sobolev inequalities need ``1/phi''`` concave (Chafaï 2004), so the ratio
+    bound is proved for Tsallis q in (1, 2] only; above q = 2 the detail says so.
+
+    On this 41-node grid seed 1 fails the check and seed 2 passes it, for both q.
+    """
+    raw = {
+        "lambda": 1.0, "tau": 1.0, "entropy.family": "tsallis", "entropy.q": q,
+        "grid.dim": 1, "grid.lo": [-6.0], "grid.hi": [6.0], "grid.n": [41],
+        "solver.dt": 2e-3, "solver.t_final": 0.2,
+        "initial.kind": "gaussian", "initial.mean": [0.5], "seed": seed,
+    }
+    results = run_verification(resolve_config(raw, base_dir=tmp_path))
+    check = next(r for r in results if r.name == "energy.sobolev_ratio_bound")
+    assert ("the bound is proved for Tsallis q in (1, 2] only" in check.detail) == (q > 2.0)
