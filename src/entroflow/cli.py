@@ -111,7 +111,7 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> dict:
         "fit_residual": resid,
         "fit_window": window,
         "steps": steps,
-        "solver_backend": solver_backend(gibbs.operator()),
+        "solver_backend": solver_backend(gibbs.operator(), cfg),
         "t_final": final.t,
         "wall_time_s": time.perf_counter() - started,
     }

@@ -13,8 +13,8 @@ steps to ``2 y - w``, which is exact:
 accuracy studies but may undershoot zero on rough data.
 
 The step system is constant, so it is prepared once per ``(operator, dt,
-scheme)`` in a :class:`Stepper`, which picks one of three backends from the
-grid and the weight:
+scheme)`` in a :class:`Stepper`, which picks one of four backends from the
+grid, the weight and the record cadence (:func:`solver_backend`):
 
 * a tridiagonal LDL^T solve in 1-d, whatever the weight.  The system is
   tridiagonal there; it is factored once, and each of the two bidiagonal
@@ -33,20 +33,65 @@ grid and the weight:
   (the whole run without an observer) with one forward and one back mode
   product, and the Crank-Nicolson undershoot warning sees the recorded
   states only.
-* Jacobi-preconditioned conjugate gradients otherwise (dataset weights in
-  2-d and 3-d).  No matrix is built: each product ``(D + coef L) p`` applies
-  ``L`` edge by edge through :meth:`WeightedOperator.apply_stiffness`, and
-  the Jacobi diagonal comes from :attr:`WeightedOperator.stiffness_diagonal`.
-  Preconditioning is not optional in practice: the node masses span many
-  orders of magnitude between the box center and its corners.  PCG stops
-  on the preconditioned residual of ``A y = D w``, which bounds the error
-  of ``y`` in the energy norm only; in the far tail, where the masses are
-  tiny, pointwise values can be off by far more than ``linear_tol`` (up to
-  2.0e-6 relative in ``w_min``/``w_max`` over the first 1000 steps of
-  ``configs/atoms2d.toml``, against a sparse LU solve of the same steps).
-  Each solve moves the mass by its residual's sum, a drift that grows with
-  the step count (4.4e-11 over 5000 steps of ``atoms2d`` on a 41^2 grid).
-  ``linear_tol`` and ``max_linear_iters`` govern this backend only.
+* a Chebyshev expansion of the ``k``-step map for dataset weights in 2-d
+  and 3-d, when a record interval of ``k = record_every`` steps needs a
+  series of degree at most ``CHEBYSHEV_DEGREES_PER_STEP * k``.  With
+  ``S = D^{-1} L``, ``k`` steps are ``f(c S)`` for the fixed rational
+  ``f(s) = (1 + s)^{-k}`` (implicit Euler) or ``((1 - s)/(1 + s))^k``
+  (Crank-Nicolson).  The spectrum of ``S`` lies in ``[0, lam]``,
+  ``lam = 2 max_i L_ii / m_i`` (Gershgorin, :func:`spectrum_bound`), so
+  ``f`` is expanded in Chebyshev polynomials of ``X = (2/lam) S - I``
+  (:func:`chebyshev_series`) and applied by Clenshaw's recurrence, one
+  ``apply_stiffness`` per degree: the Chebyshev propagator of Tal-Ezer &
+  Kosloff (J. Chem. Phys. 81, 1984) for the step map.  The series is exact
+  to about 1e-15 of ``max |f|`` on the spectrum (2.7e-15 of ``max |w|``
+  against a sparse LU solve of the first 10 steps of
+  ``configs/atoms2d.toml``, where PCG is off by 7.0e-7), and ``p(-1) = 1``
+  keeps the constants and the mass to roundoff.  A jump
+  covers a record interval, so the Crank-Nicolson warning sees recorded
+  states only.  A record whose minimum falls below ``-ROUNDOFF_FLOOR``
+  (the series' roundoff in the far tail of a spike, or a Crank-Nicolson
+  undershoot) is recomputed from the same start by PCG steps, which check
+  every step as the PCG backend does.  The degree grows like
+  ``sqrt(k c lam)``, and ``lam`` like ``exp(dV / tau) / h^2``: a series
+  longer than ``CHEBYSHEV_MAX_DEGREE`` sends a cold weight or a wide
+  hand-set box to PCG.
+
+  The rule is measured, per record on one core, against the PCG backend's
+  cost (its system products per step times ``k``); each cell is the degree,
+  then Chebyshev against PCG milliseconds:
+
+  ======================  ================  ================  ================  ================
+  ``c lam``               k = 1             k = 3             k = 10            k = 30
+  ======================  ================  ================  ================  ================
+  0.66, 101^2 atoms2d     16; 0.74 vs 0.65  19; 0.89 vs 1.92  24; 1.23 vs 5.81  33; 1.73 vs 15.1
+  2.0, 101^2 atoms2d      26; 1.26 vs 0.83  30; 1.57 vs 2.60  38; 1.76 vs 9.03  54; 2.42 vs 25.0
+  6.6, 101^2 atoms2d      45; 2.04 vs 1.74  51; 2.33 vs 5.06  67; 3.20 vs 17.4  95; 4.63 vs 44.8
+  3.2, 41^3 two features  32; 19.1 vs 8.4   37; 23.1 vs 22.6  48; 26.7 vs 74.9
+  ======================  ================  ================  ================  ================
+
+  A degree costs about 0.05 ms in 2-d and 0.6 ms in 3-d, a PCG step 5-16
+  system products, so parity falls near 13 degrees per step where PCG
+  needs the fewest products.  Ten degrees per step picks the faster
+  backend in every cell but ``c lam`` = 2.0 and 6.6 at k = 3 (PCG, where
+  Chebyshev would save a third to half) and sends the 3-d parity cell to
+  PCG.
+* Jacobi-preconditioned conjugate gradients otherwise.  No matrix is
+  built: each product ``(D + coef L) p`` applies ``L`` edge by edge through
+  :meth:`WeightedOperator.apply_stiffness`, and the Jacobi diagonal comes
+  from :attr:`WeightedOperator.stiffness_diagonal`.  Preconditioning is not
+  optional in practice: the node masses span many orders of magnitude
+  between the box center and its corners.  PCG stops on the preconditioned
+  residual of ``A y = D w``, which bounds the error of ``y`` in the energy
+  norm only; in the far tail, where the masses are tiny, pointwise values
+  can be off by far more than ``linear_tol`` (up to 2.0e-6 relative in
+  ``w_min``/``w_max`` over the first 1000 steps of ``configs/atoms2d.toml``
+  taken by PCG, against a sparse LU solve of the same steps).  Each solve moves the
+  mass by its residual's sum, a drift that grows with the step count (4.4e-11
+  over 5000 PCG steps of ``atoms2d`` on a 41^2 grid, 4.6e-6 over 9 steps of
+  a tail spike on a 41^3 dataset grid).  These errors apply to PCG inputs
+  only.  ``linear_tol`` and ``max_linear_iters`` govern this backend (and
+  the Chebyshev backend's fallback) only.
 """
 
 from __future__ import annotations
@@ -124,11 +169,65 @@ def init_state(gibbs: GibbsField, w0: ScalarField) -> FlowState:
     return FlowState(t=0.0, w=ScalarField(gibbs.grid, w0.values / mass), gibbs=gibbs)
 
 
-def solver_backend(op: WeightedOperator) -> str:
-    """``"tridiag"`` in 1-d, ``"fastdiag"`` for a product-form weight, else ``"pcg"``."""
+# the Chebyshev series is fitted at CHEBYSHEV_POINTS points and cut after the
+# last coefficient above CHEBYSHEV_TOL (the k-step map is at most 1 in size
+# on the spectrum); a series longer than CHEBYSHEV_MAX_DEGREE is not used
+CHEBYSHEV_POINTS = 2048
+CHEBYSHEV_MAX_DEGREE = 1000
+CHEBYSHEV_TOL = 1e-15
+# a record of k steps takes the Chebyshev series when its degree is at most
+# CHEBYSHEV_DEGREES_PER_STEP * k (see the module docstring for the measurement)
+CHEBYSHEV_DEGREES_PER_STEP = 10
+
+
+def spectrum_bound(op: WeightedOperator) -> float:
+    """Gershgorin's bound ``2 max_i L_ii / m_i`` on the spectrum of ``D^{-1} L``."""
+    return 2.0 * float(np.max(op.stiffness_diagonal / op.node_mass))
+
+
+def chebyshev_series(clam: float, k: int, crank_nicolson: bool) -> np.ndarray | None:
+    """Chebyshev coefficients of ``k`` steps on the mapped spectrum, or None past the degree cap.
+
+    ``clam`` is ``coef`` times :func:`spectrum_bound`, so ``s = clam (x + 1)
+    / 2`` maps ``x`` in [-1, 1] onto an interval that holds ``coef`` times
+    the spectrum of ``D^{-1} L``.  The step map there is ``(1 + s)^{-k}``
+    for implicit Euler and ``((1 - s) / (1 + s))^k`` for Crank-Nicolson.
+    The coefficients come from one FFT of its values at
+    ``CHEBYSHEV_POINTS`` Chebyshev points (a DCT-II).  ``c_0`` is then set
+    so that the series is exactly 1 at ``x = -1``, where the constants sit.
+    """
+    n = CHEBYSHEV_POINTS
+    s = 0.5 * clam * (np.cos(np.pi * (np.arange(n) + 0.5) / n) + 1.0)
+    f = ((1.0 - s) / (1.0 + s)) ** k if crank_nicolson else (1.0 + s) ** -float(k)
+    spectrum = np.fft.rfft(np.concatenate((f, f[::-1])))[:n]
+    c = (spectrum * np.exp(-0.5j * np.pi * np.arange(n) / n)).real / n
+    above = np.flatnonzero(np.abs(c) > CHEBYSHEV_TOL)
+    if above.size == 0 or above[-1] > CHEBYSHEV_MAX_DEGREE:  # unresolved, or too long
+        return None
+    degree = int(above[-1])
+    c = c[:degree + 1]
+    c[0] = 1.0 - float(np.dot(c[1:], np.resize([-1.0, 1.0], degree)))
+    return c
+
+
+def _select(op: WeightedOperator, dt: float, cfg: SolverConfig) -> tuple[str, np.ndarray | None]:
+    """The backend for steps of ``dt``, and the Chebyshev series of a record if it is chosen."""
     if op.grid.dim == 1:
-        return "tridiag"
-    return "pcg" if op.axis_eigenbasis is None else "fastdiag"
+        return "tridiag", None
+    if op.axis_eigenbasis is not None:
+        return "fastdiag", None
+    k = cfg.record_every
+    cn = cfg.scheme == "crank-nicolson"
+    series = chebyshev_series((0.5 * dt if cn else dt) * spectrum_bound(op), k, cn)
+    if series is None or series.size - 1 > CHEBYSHEV_DEGREES_PER_STEP * k:
+        return "pcg", None
+    return "chebyshev", series
+
+
+def solver_backend(op: WeightedOperator, cfg: SolverConfig) -> str:
+    """``"tridiag"`` in 1-d, ``"fastdiag"`` for a product-form weight, else
+    ``"chebyshev"`` or ``"pcg"`` by the degree a record of ``cfg`` needs."""
+    return _select(op, cfg.dt, cfg)[0]
 
 
 def _tridiagonal_scans(mass: np.ndarray, off: np.ndarray):
@@ -191,17 +290,19 @@ class Stepper:
     ``advance(w, k)`` maps the node array ``w`` to the array ``k`` steps
     later.  Every backend solves ``A y = D w`` with ``A = D + coef L``;
     Crank-Nicolson (``coef = dt/2``) then steps to ``2 y - w``, implicit
-    Euler (``coef = dt``) to ``y``.  The backend follows from the grid and
-    the weight (see :func:`solver_backend`): the tridiagonal scans and fast
-    diagonalization are exact up to roundoff, Jacobi PCG stops on its
-    preconditioned residual.  The scans and PCG take the ``k`` steps one by
-    one; fast diagonalization jumps over them with one forward and one back
-    mode product.  The first Crank-Nicolson state below ``-ROUNDOFF_FLOOR``
-    is reported with a warning, later ones are not.
+    Euler (``coef = dt``) to ``y``.  The backend follows from the grid, the
+    weight and ``cfg.record_every`` (see :func:`solver_backend`): the
+    tridiagonal scans, fast diagonalization and the Chebyshev series are
+    exact up to roundoff, Jacobi PCG stops on its preconditioned residual.
+    The scans and PCG take the ``k`` steps one by one; fast diagonalization
+    jumps over them with one forward and one back mode product, the
+    Chebyshev series in jumps of at most ``record_every`` steps.  The first
+    Crank-Nicolson state below ``-ROUNDOFF_FLOOR`` is reported with a
+    warning, later ones are not.
     """
 
     def __init__(self, op: WeightedOperator, dt: float, cfg: SolverConfig):
-        self.backend = solver_backend(op)
+        self.backend, series = _select(op, dt, cfg)
         self.crank_nicolson = cfg.scheme == "crank-nicolson"
         self.undershot = False
         self.mass = op.node_mass
@@ -222,13 +323,23 @@ class Stepper:
             # the eigenvectors are from D-orthonormal
             self.change = -(2.0 if self.crank_nicolson else 1.0) * coef * mu / (1.0 + coef * mu)
             self.jump = (1, self.change)  # (k, change over k steps), the last k asked for
-        else:
+        else:  # PCG, also the Chebyshev backend's fallback
             self.tol, self.max_iters = cfg.linear_tol, cfg.max_linear_iters
             self.op = op  # op and mass_per_coef are read by _system
             self.mass_per_coef = self.mass / coef
-            # b, r, z, p and A p, written in place by _pcg
+            # b, r, z, p and A p, written in place by _pcg (and the first
+            # four by _chebyshev)
             self.buffers = [np.empty_like(self.mass) for _ in range(5)]
             self.diag = coef * op.stiffness_diagonal + self.mass
+        # the most steps one Chebyshev jump takes; the scans and PCG take one
+        self.jump_steps = cfg.record_every if self.backend == "chebyshev" else 1
+        if self.backend == "chebyshev":
+            lam = spectrum_bound(op)
+            self.clam = coef * lam
+            self.series = {cfg.record_every: series}  # k -> series of k steps
+            # 2 X v = (4 / (lam m)) (L v - (lam m / 2) v) for X = (2 / lam) D^-1 L - I
+            self.lower = -0.5 * lam * self.mass
+            self.scale = -2.0 / self.lower
 
     def advance(self, w: np.ndarray, k: int = 1) -> np.ndarray:
         """The node array ``k`` steps after ``w``; warns at the first Crank-Nicolson undershoot.
@@ -236,8 +347,11 @@ class Stepper:
         Fast diagonalization scales each mode by its change over ``k`` steps,
         ``amp**k - 1`` with ``amp = 1 + change``; that is exactly zero on the
         constants, so the jump conserves mass like one step does.  With
-        ``k = 1`` it is the one-step ``change`` itself.  The other backends
-        take ``k`` single steps and check each one.
+        ``k = 1`` it is the one-step ``change`` itself.  The Chebyshev
+        backend jumps ``record_every`` steps at a time (fewer in the last
+        jump), so a run takes the same jumps whether it is observed or not;
+        a jump below ``-ROUNDOFF_FLOOR`` is redone by PCG steps.  The scans
+        and PCG take ``k`` single steps and check each one.
         """
         if self.backend == "fastdiag":
             if self.jump[0] != k:  # one cached power: a run asks for at most two
@@ -247,10 +361,51 @@ class Stepper:
             self._check_sign(x)
             return x
         x = w
-        for _ in range(k):
-            y = self._tridiag(x) if self.backend == "tridiag" else self._pcg(x)
-            x = 2.0 * y - x if self.crank_nicolson else y
-            self._check_sign(x)
+        for done in range(0, k, self.jump_steps):
+            j = min(self.jump_steps, k - done)
+            y = self._chebyshev(x, j) if self.backend == "chebyshev" else None
+            # below -ROUNDOFF_FLOOR, a jump is the series' roundoff in the far
+            # tail or a Crank-Nicolson undershoot: PCG steps redo it and check each step
+            if y is None or float(np.min(y)) < -ROUNDOFF_FLOOR:
+                y = x
+                for _ in range(j):
+                    s = self._tridiag(y) if self.backend == "tridiag" else self._pcg(y)
+                    y = 2.0 * s - y if self.crank_nicolson else s
+                    self._check_sign(y)
+            x = y
+        return x
+
+    def _chebyshev(self, w: np.ndarray, k: int) -> np.ndarray | None:
+        """``k`` steps after ``w`` by Clenshaw's recurrence; None past the degree cap.
+
+        With ``p = sum_n c_n T_n`` the series of :func:`chebyshev_series`,
+        ``b_n = c_n w + 2 X b_{n+1} - b_{n+2}`` runs down from the degree and
+        ``p(X) w = c_0 w + X b_1 - b_2``; each ``X`` is one
+        ``apply_stiffness``.  ``X 1 = -1`` exactly and ``p(-1) = 1``, so the
+        jump keeps the constants, and the mass, to roundoff.
+        """
+        if k not in self.series:
+            self.series[k] = chebyshev_series(self.clam, k, self.crank_nicolson)
+        c = self.series[k]
+        if c is None:
+            return None
+        b1, b2, t, cw = self.buffers[:4]
+        b1.fill(0.0)
+        b2.fill(0.0)
+        for cn in c[:0:-1]:
+            # b2 <- c_n w + 2 X b1 - b2, then swap: b1 is the newest term
+            np.multiply(self.lower, b1, out=t)
+            self.op.apply_stiffness(b1, out=t)
+            t *= self.scale
+            np.subtract(t, b2, out=b2)
+            b2 += np.multiply(cn, w, out=cw)
+            b1, b2 = b2, b1
+        x = np.multiply(self.lower, b1)
+        self.op.apply_stiffness(b1, out=x)
+        x *= self.scale
+        x *= 0.5
+        x -= b2
+        x += c[0] * w
         return x
 
     def _check_sign(self, x: np.ndarray) -> None:
@@ -339,7 +494,8 @@ def evolve(state: FlowState, cfg: SolverConfig, observer=None) -> tuple[FlowStat
     The observer is called with ``(t, w)`` at time 0, after every
     ``record_every``-th step, and after the final step (once, even when the
     step count is a multiple of the cadence).  The stepper advances from
-    record to record, or over all full steps at once without an observer;
+    record to record, or over all full steps at once without an observer
+    (the Chebyshev backend still jumps ``record_every`` steps at a time);
     a non-finite state raises ``ValueError`` at the next record at the
     latest.  Returns the final state and the number of steps taken.
     """

@@ -81,8 +81,8 @@ FAST_OU_3D = (FAST_OU.replace("grid.dim = 1", "grid.dim = 3")
               .replace("initial.mean = [0.5]", "initial.mean = [0.5, 0.0, -0.5]"))
 
 # the three-atom dataset weight on a 9x9 grid: 2-d and not a product over
-# axes, so it takes the PCG backend, the one that solver.max_iters and
-# solver.linear_tol govern
+# axes, and recorded after every step, so it takes the PCG backend, the one
+# that solver.max_iters and solver.linear_tol govern
 ATOMS_9 = f"""\
 dataset = {str(Path(__file__).resolve().parents[1] / "configs" / "three_atoms.csv")!r}
 z_min = [-1.0]
@@ -106,7 +106,8 @@ initial.mean = [1.0, 0.0]
 def test_run_skips_scipy_linear_algebra(tmp_path):
     """No scipy module is loaded by the CLI import, nor by run and verify on
     any solver backend: a 1-d config takes the tridiagonal scans, a 2-d
-    dataset config PCG, a 3-d OU config fast diagonalization.  Importing scipy.sparse and scipy.special
+    dataset config the Chebyshev expansion, a 3-d OU config fast
+    diagonalization.  Importing scipy.sparse and scipy.special
     about doubled the start-up time and the peak RSS of a 1-d run."""
     configs = Path(__file__).resolve().parents[1] / "configs"
     atoms = ((configs / "atoms2d.toml").read_text(encoding="utf-8")
@@ -384,7 +385,8 @@ class TestRunCommand:
         assert s1 == s2
 
     def test_solver_backend_reported(self, tmp_path, capsys):
-        """A product-form weight takes fast diagonalization; a dataset weight PCG."""
+        """A product-form weight takes fast diagonalization; a dataset weight the
+        Chebyshev expansion with records of 10 steps, PCG with records of one."""
         ou3d = tmp_path / "ou3d.toml"
         ou3d.write_text(FAST_OU_3D, encoding="utf-8")
         configs = Path(__file__).resolve().parents[1] / "configs"
@@ -393,7 +395,9 @@ class TestRunCommand:
                          .replace('"three_atoms.csv"', repr(str(configs / "three_atoms.csv")))
                          .replace("solver.t_final = 5.0", "solver.t_final = 0.02"),
                          encoding="utf-8")
-        for cfg, backend in ((ou3d, "fastdiag"), (atoms, "pcg")):
+        atoms_9 = tmp_path / "atoms9.toml"
+        atoms_9.write_text(ATOMS_9, encoding="utf-8")
+        for cfg, backend in ((ou3d, "fastdiag"), (atoms, "chebyshev"), (atoms_9, "pcg")):
             out = tmp_path / cfg.stem
             assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
             assert json.loads((out / "summary.json").read_text())["solver_backend"] == backend

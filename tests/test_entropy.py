@@ -77,10 +77,11 @@ class TestTsallis:
     make_nonconvex_probe(),
 ], ids=lambda g: f"{g.family}-{g.q}-{g.tau}")
 def test_phi_at_zero_is_phi_of_zero(gen):
-    """The energy evaluates ``phi(max(w, 0))``: ``phi(0)`` is ``phi_at_0`` to the bit,
-    and tiny or roundoff-negative entries give what the special case ``w > 0 ?
+    """The energy evaluates ``phi(max(w, 0))``: ``phi_at_0`` is the closed form
+    ``phi(0)``, ``tau`` for Shannon and Tsallis and -1 for the non-convex probe, and
+    tiny or roundoff-negative entries give what the special case ``w > 0 ?
     phi(max(w, 1e-300)) : phi_at_0`` gave."""
-    assert gen.phi(np.array(0.0)) == gen.phi_at_0
+    assert gen.phi_at_0 == (-1.0 if gen.family == "nonconvex-probe" else gen.tau)
     s = np.array([0.0, -0.0, -1e-13, 5e-324, 1e-310, 1e-300])
     special = np.where(s > 0, gen.phi(np.maximum(s, 1e-300)), gen.phi_at_0)
     np.testing.assert_array_equal(gen.phi(np.maximum(s, 0.0)), special)

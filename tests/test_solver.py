@@ -31,7 +31,16 @@ from entroflow import (
     evolve,
 )
 from entroflow.grid import WeightedOperator
-from entroflow.solver import Stepper, _tridiagonal_scans, solver_backend
+from entroflow.potential import certified_envelope, default_box
+from entroflow.solver import (
+    CHEBYSHEV_DEGREES_PER_STEP,
+    CHEBYSHEV_MAX_DEGREE,
+    Stepper,
+    _tridiagonal_scans,
+    chebyshev_series,
+    solver_backend,
+    spectrum_bound,
+)
 from entroflow.verify import run_verification
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -49,7 +58,8 @@ def ou_gibbs():
 
 @pytest.fixture(scope="module")
 def atoms9_gibbs():
-    """The three-atom dataset weight on a 9x9 grid: 2-d and not a product, so it takes PCG."""
+    """The three-atom dataset weight on a 9x9 grid: 2-d and not a product, so it takes
+    PCG with records of one step and the Chebyshev expansion with longer ones."""
     cfg = resolve_config({
         "dataset": "three_atoms.csv", "z_min": [-1.0], "z_max": [1.0], "y_min": 0.0,
         "y_max": 1.0, "lambda": 1.0, "tau": 1.0, "grid.dim": 2, "grid.lo": [-5.0, -5.0],
@@ -275,10 +285,10 @@ class TestFastDiagonalization:
         """
         gibbs = gaussian_gibbs(n, lo, hi, lam=2.0, tau=0.7)
         op = gibbs.operator()
-        assert solver_backend(op) == "fastdiag"
+        cfg = SolverConfig(dt=1e-2, t_final=0.025, scheme=scheme)
+        assert solver_backend(op, cfg) == "fastdiag"
         d, stiff = op.node_mass, op.stiffness.toarray()
         w0 = np.exp(np.random.default_rng(5).normal(size=op.grid.num_nodes))
-        cfg = SolverConfig(dt=1e-2, t_final=0.025, scheme=scheme)
         ref = w0
         for dt in (1e-2, 1e-2, 0.5e-2):
             coef = dt if scheme == "implicit-euler" else 0.5 * dt
@@ -379,7 +389,7 @@ class TestConjugateGradients:
         and ``2 y - w`` for Crank-Nicolson, in the D-norm: pointwise, the far
         tail is only as good as the energy-norm stopping test."""
         op = atoms9_gibbs.operator()
-        stepper = Stepper(op, dt, SolverConfig(dt=dt, t_final=1.0, scheme=scheme))
+        stepper = Stepper(op, dt, SolverConfig(dt=dt, t_final=1.0, scheme=scheme, record_every=1))
         assert stepper.backend == "pcg"
         w = np.exp(np.random.default_rng(5).normal(size=op.grid.num_nodes))
         a = np.diag(op.node_mass) + stepper.coef * op.stiffness.toarray()
@@ -428,8 +438,9 @@ class TestTridiagonal:
         computed without cancellation once ``dt / h^2`` is large.
         """
         op = one_dimensional_operator(kind, log_gamma)
-        assert solver_backend(op) == "tridiag"
-        stepper = Stepper(op, dt, SolverConfig(dt=dt, t_final=1.0, scheme=scheme))
+        cfg = SolverConfig(dt=dt, t_final=1.0, scheme=scheme)
+        assert solver_backend(op, cfg) == "tridiag"
+        stepper = Stepper(op, dt, cfg)
         w = np.exp(np.random.default_rng(seed).normal(size=op.grid.num_nodes))
         x = stepper.advance(w)
         coef, mass = stepper.coef, op.node_mass
@@ -486,15 +497,25 @@ class TestTridiagonal:
     @pytest.mark.filterwarnings("ignore:crank-nicolson step produced")
     @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
     def test_advance_k_is_k_steps(self, coarse_gibbs, atoms9_gibbs, scheme):
-        """The scans and PCG take ``advance(w, k)`` one step at a time, bit for bit."""
+        """The scans and PCG take ``advance(w, k)`` one step at a time, bit for bit;
+        the Chebyshev jump is 7 dense steps to 1e-12 of ``max |w|``."""
         for gibbs, backend in ((coarse_gibbs, "tridiag"), (atoms9_gibbs, "pcg")):
-            stepper = Stepper(gibbs.operator(), 0.05, SolverConfig(dt=0.05, t_final=1.0, scheme=scheme))
+            cfg = SolverConfig(dt=0.05, t_final=1.0, scheme=scheme, record_every=1)
+            stepper = Stepper(gibbs.operator(), 0.05, cfg)
             assert stepper.backend == backend
             w = np.exp(np.random.default_rng(7).normal(size=gibbs.grid.num_nodes))
             ref = w
             for _ in range(7):
                 ref = stepper.advance(ref)
             assert np.array_equal(stepper.advance(w, 7), ref)
+        op = atoms9_gibbs.operator()  # w is its density from the loop's last pass
+        stepper = Stepper(op, 0.05, SolverConfig(dt=0.05, t_final=1.0, scheme=scheme))
+        assert stepper.backend == "chebyshev"
+        step = dense_step(op, stepper.coef, stepper.crank_nicolson)
+        ref = w
+        for _ in range(7):
+            ref = step @ ref
+        assert np.max(np.abs(stepper.advance(w, 7) - ref)) <= 1e-12 * np.max(np.abs(w))
 
     def test_mass_drift_on_bundled_config(self):
         """3000 implicit-Euler steps of configs/ou_shannon.toml conserve mass to 1e-12."""
@@ -504,21 +525,182 @@ class TestTridiagonal:
         masses = []
         _, n_steps = evolve(init_state(gibbs, cfg.initial_density(gibbs)), cfg,
                             observer=lambda t, w: masses.append(op.inner(w.values, 1.0)))
-        assert n_steps == 3000 and solver_backend(op) == "tridiag"
+        assert n_steps == 3000 and solver_backend(op, cfg) == "tridiag"
         assert max(abs(m - 1.0) for m in masses) <= 1e-12
+
+
+def dataset_gibbs_3d(n):
+    """A three-atom dataset weight with two features on its automatic box: 3-d, not a product."""
+    data = Dataset(z=[[-0.5, 0.3], [0.0, -0.4], [0.6, 0.1]], y=[0.2, 0.8, 0.5], weight=[0.1] * 3)
+    loss = saturating_squared_loss()
+    lo, hi = default_box(1.0, 1.0, 3, m_envelope=certified_envelope(data, loss))
+    return build_potential(data, loss, arctan_sigmoid(), 1.0, 1.0, build_grid(3, lo, hi, n))
+
+
+def random_operator(n, seed):
+    """The operator of a random weight, ``exp`` of a standard normal per node: not a product."""
+    g = build_grid(len(n), -3.0, 3.0, n)
+    return WeightedOperator(g, ScalarField(g, np.exp(np.random.default_rng(seed).normal(size=g.num_nodes))))
+
+
+def dense_step(op, coef, crank_nicolson):
+    """One step as a dense matrix: ``(D + coef L)^{-1} D`` by ``np.linalg.solve``, or ``2 (.) - I``."""
+    a = np.diag(op.node_mass) + coef * op.stiffness.toarray()
+    step = np.linalg.solve(a, np.diag(op.node_mass))
+    return 2.0 * step - np.eye(len(step)) if crank_nicolson else step
+
+
+@pytest.fixture(scope="module")
+def atoms3d_gibbs():
+    return dataset_gibbs_3d((41, 41, 41))
+
+
+def point_and_box_inputs(grid):
+    """A spike at the centre node, a spike at a corner node and the indicator of ``[-1, 1]^d``."""
+    centre, tail = np.zeros(grid.num_nodes), np.zeros(grid.num_nodes)
+    centre[grid.num_nodes // 2] = tail[0] = 1.0
+    box = (np.max(np.abs(grid.nodes), axis=1) <= 1.0).astype(float)
+    return {"centre": centre, "tail": tail, "box": box}
+
+
+class TestChebyshev:
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    @pytest.mark.parametrize("weight", ["random-2d", "random-3d", "atoms9", "dataset-3d"])
+    def test_matches_dense_steps(self, atoms9_gibbs, weight, scheme):
+        """1, 7 and 50 steps in one jump against the same steps by dense solves,
+        to 1e-12 of ``max |w|``, on small weights that are not products."""
+        op = {"random-2d": lambda: random_operator((9, 13), 1),
+              "random-3d": lambda: random_operator((7, 9, 11), 2),
+              "atoms9": atoms9_gibbs.operator,
+              "dataset-3d": lambda: dataset_gibbs_3d((7, 9, 11)).operator()}[weight]()
+        dt = 1e-2
+        stepper = Stepper(op, dt, SolverConfig(dt=dt, t_final=1.0, scheme=scheme, record_every=50))
+        assert stepper.backend == "chebyshev"
+        step = dense_step(op, stepper.coef, stepper.crank_nicolson)
+        w = np.random.default_rng(3).normal(size=op.grid.num_nodes)
+        ref, done = w, 0
+        for k in (1, 7, 50):
+            for _ in range(k - done):
+                ref = step @ ref
+            done = k
+            assert np.max(np.abs(stepper._chebyshev(w, k) - ref)) <= 1e-12 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_constants_and_mass_kept(self, scheme):
+        """``p(-1) = 1``: a constant stays constant and the mass stays put, to roundoff."""
+        op = random_operator((9, 13), 4)
+        stepper = Stepper(op, 1e-2, SolverConfig(dt=1e-2, t_final=1.0, scheme=scheme, record_every=50))
+        w = np.exp(np.random.default_rng(6).normal(size=op.grid.num_nodes))
+        for k in (1, 7, 50):
+            assert np.max(np.abs(stepper._chebyshev(np.ones_like(w), k) - 1.0)) <= 1e-13
+            assert abs(op.inner(stepper._chebyshev(w, k), 1.0) / op.inner(w, 1.0) - 1.0) <= 1e-14
+            assert np.polynomial.chebyshev.chebval(-1.0, stepper.series[k]) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("inputs", ["centre", "tail", "box"])
+    @pytest.mark.parametrize("case", ["atoms2d", "atoms2d-dt1e-2", "atoms3d"])
+    def test_records_stay_nonnegative(self, monkeypatch, atoms3d_gibbs, case, inputs):
+        """Every recorded state of a spike or a box indicator is >= -1e-12, and the
+        mass moves by at most 1e-12 when no PCG fallback ran.  The tail spike with
+        ``dt = 1e-2`` and 50-step records dips to about -6e-4 in the far tail by
+        the series alone (its peak is 3e24): PCG steps redo those records."""
+        if case == "atoms3d":
+            gibbs, cfg = atoms3d_gibbs, SolverConfig(dt=1e-2, t_final=1.0, record_every=10)
+        else:
+            gibbs = load_config(CONFIGS / "atoms2d.toml").build_gibbs()
+            dt, every = (1e-3, 10) if case == "atoms2d" else (1e-2, 50)
+            cfg = SolverConfig(dt=dt, t_final=10 * every * dt, record_every=every)
+        op = gibbs.operator()
+        assert solver_backend(op, cfg) == "chebyshev"
+        solves = []
+        pcg = Stepper._pcg
+        monkeypatch.setattr(Stepper, "_pcg", lambda self, w: solves.append(1) or pcg(self, w))
+        state = init_state(gibbs, ScalarField(gibbs.grid, point_and_box_inputs(gibbs.grid)[inputs]))
+        records = []
+        _, n_steps = evolve(state, cfg, observer=lambda t, w: records.append(w.values))
+        assert n_steps == 10 * cfg.record_every and len(records) == 11
+        assert min(float(np.min(w)) for w in records) >= -1e-12
+        assert bool(solves) == (case == "atoms2d-dt1e-2" and inputs == "tail")
+        if not solves:
+            assert max(abs(op.inner(w, 1.0) - 1.0) for w in records) <= 1e-12
+
+    def test_mass_drift_over_2000_steps(self):
+        """2000 steps of configs/atoms2d.toml on a 41^2 grid keep the mass to 1e-12."""
+        cfg = load_config(CONFIGS / "atoms2d.toml")
+        cfg.grid = build_grid(2, cfg.grid.lo, cfg.grid.hi, (41, 41))
+        cfg.t_final = 2.0
+        gibbs = cfg.build_gibbs()
+        op = gibbs.operator()
+        assert solver_backend(op, cfg) == "chebyshev"
+        masses = []
+        _, n_steps = evolve(init_state(gibbs, cfg.initial_density(gibbs)), cfg,
+                            observer=lambda t, w: masses.append(op.inner(w.values, 1.0)))
+        assert n_steps == 2000
+        assert max(abs(m - 1.0) for m in masses) <= 1e-12
+
+    @pytest.mark.parametrize("t_final", [1.0, 1.025])
+    def test_observer_does_not_change_the_jumps(self, atoms9_gibbs, t_final):
+        """Without an observer the run takes the same ``record_every``-step jumps
+        (and the same remainder step): the final state is the same to the bit."""
+        cfg = SolverConfig(dt=0.05, t_final=t_final, record_every=7)
+        assert solver_backend(atoms9_gibbs.operator(), cfg) == "chebyshev"
+        state = init_state(atoms9_gibbs, ou_relative_density(atoms9_gibbs.grid, 0.5, 1.0, 1.0, 0.0))
+        observed, n_steps = evolve(state, cfg, observer=lambda t, w: None)
+        final, _ = evolve(state, cfg)
+        assert n_steps == 20 + (t_final > 1.0)
+        assert np.array_equal(final.w.values, observed.w.values)
+
+    def test_crank_nicolson_undershoot_is_redone_by_pcg(self, atoms9_gibbs):
+        """A Crank-Nicolson record below zero is redone by PCG steps from the same
+        start: the state and the warning are those of the PCG backend."""
+        op = atoms9_gibbs.operator()
+        w = np.zeros(op.grid.num_nodes)
+        w[0] = 1.0
+        states = {}
+        for every in (1, 9):
+            stepper = Stepper(op, 0.125, SolverConfig(dt=0.125, t_final=1.0, scheme="crank-nicolson",
+                                                      record_every=every))
+            assert stepper.backend == ("pcg" if every == 1 else "chebyshev")
+            with pytest.warns(RuntimeWarning, match="crank-nicolson"):
+                states[every] = stepper.advance(w, 9)
+        assert np.min(stepper._chebyshev(w, 9)) < -1e-4
+        np.testing.assert_array_equal(states[9], states[1])
 
 
 class TestBackendSelection:
     @pytest.mark.parametrize("n,lo,hi", ANISOTROPIC)
     def test_gaussian_weights_take_fast_diagonalization(self, n, lo, hi):
-        assert solver_backend(gaussian_gibbs(n, lo, hi).operator()) == "fastdiag"
+        cfg = SolverConfig(dt=1e-2, t_final=1.0)
+        assert solver_backend(gaussian_gibbs(n, lo, hi).operator(), cfg) == "fastdiag"
 
-    def test_dataset_weight_takes_pcg(self):
-        gibbs = load_config(CONFIGS / "atoms2d.toml").build_gibbs()
-        assert solver_backend(gibbs.operator()) == "pcg"
+    def test_dataset_weight_takes_pcg(self, atoms9_gibbs):
+        """A dataset weight takes PCG for records of one step, as the ``ATOMS_9``
+        CLI input has them, and the Chebyshev expansion for the bundled config's
+        records of 10 steps."""
+        cfg = SolverConfig(dt=0.05, t_final=0.6, record_every=1)
+        assert solver_backend(atoms9_gibbs.operator(), cfg) == "pcg"
+        cfg = load_config(CONFIGS / "atoms2d.toml")
+        op = cfg.build_gibbs().operator()
+        assert solver_backend(op, cfg) == "chebyshev"
+        cfg.record_every = 1
+        assert solver_backend(op, cfg) == "pcg"
+
+    def test_cold_weight_takes_pcg_past_the_degree_cap(self):
+        """At tau = 0.05 on a hand-set box the spectrum bound is 4e11: no series
+        below the degree cap fits a record, however long, so PCG takes it."""
+        cfg = resolve_config({
+            "dataset": "three_atoms.csv", "z_min": [-1.0], "z_max": [1.0], "y_min": 0.0,
+            "y_max": 1.0, "lambda": 1.0, "tau": 0.05, "grid.dim": 2, "grid.lo": [-5.0, -5.0],
+            "grid.hi": [5.0, 5.0], "grid.n": [21, 21], "solver.dt": 1e-3, "solver.t_final": 1.0,
+            "solver.record_every": 500,
+        }, base_dir=CONFIGS)
+        op = cfg.build_gibbs().operator()
+        assert spectrum_bound(op) > 1e11
+        assert chebyshev_series(cfg.dt * spectrum_bound(op), 500, False) is None
+        assert solver_backend(op, cfg) == "pcg"
+        assert CHEBYSHEV_MAX_DEGREE < CHEBYSHEV_DEGREES_PER_STEP * 500  # the rule alone allows more
 
     def test_stiffness_is_reference_only(self, monkeypatch):
-        """Neither backend's evolve nor run_verification assembles the sparse matrix."""
+        """No backend's evolve nor run_verification assembles the sparse matrix."""
         ops = []
         operator = GibbsField.operator
         monkeypatch.setattr(GibbsField, "operator", lambda self: ops.append(operator(self)) or ops[-1])
@@ -530,14 +712,18 @@ class TestBackendSelection:
         atoms.t_final = 0.02
         gibbs = atoms.build_gibbs()
         evolve(init_state(gibbs, constant_field(gibbs.grid, 1.0)), atoms)
+        atoms_pcg = load_config(CONFIGS / "atoms2d.toml")
+        atoms_pcg.t_final, atoms_pcg.record_every = 0.005, 1
         ou3d = resolve_config({
             "lambda": 1.0, "tau": 1.0, "grid.dim": 3, "grid.lo": [-4.0, -3.0, -5.0],
             "grid.hi": [3.0, 5.0, 4.0], "grid.n": [7, 9, 11], "solver.dt": 1e-2,
             "solver.t_final": 0.05, "initial.kind": "gaussian", "initial.mean": [0.5, 0.0, 0.0],
         })
-        for cfg in (ou3d, atoms):
+        backends = set()
+        for cfg in (ou3d, atoms, atoms_pcg):
             run_verification(cfg)
-        assert {solver_backend(op) for op in ops} == {"fastdiag", "pcg"}
+            backends.add(solver_backend(ops[-1], cfg))
+        assert backends == {"fastdiag", "chebyshev", "pcg"}
         assert not any("stiffness" in vars(op) for op in ops)
 
         op = gibbs.operator()
@@ -546,10 +732,11 @@ class TestBackendSelection:
         assert op.stiffness.nnz == op.grid.num_nodes + 2 * edges
 
     def test_one_dimensional_weights_take_tridiag(self, coarse_gibbs):
+        cfg = SolverConfig(dt=1e-2, t_final=1.0)
         for gibbs in (coarse_gibbs, dataset_gibbs_1d(coarse_gibbs.grid)):
             op = gibbs.operator()
-            assert solver_backend(op) == "tridiag"
-            assert Stepper(op, 1e-2, SolverConfig(dt=1e-2, t_final=1.0)).backend == "tridiag"
+            assert solver_backend(op, cfg) == "tridiag"
+            assert Stepper(op, 1e-2, cfg).backend == "tridiag"
 
 
 class TestConfigValidation:
