@@ -1,10 +1,10 @@
 """Energy functionals, dissipation, convergence rates, and certificates.
 
-The target energy of a density ``w`` relative to the Gibbs weight is the
-weighted integral of ``phi(w)``; its dissipation along the flow is the
-Fisher term ``sum_e c_e (w_j - w_i)(phi'(w_j) - phi'(w_i))`` over the edges,
-exactly the rate at which the energy falls under ``D w' = -L w``.  This
-module evaluates both, checks the dissipation identity on recorded
+The target energy of a density ``w`` relative to the Gibbs weight is
+``sum_i m_i phi(w_i)`` over the operator's node masses; its dissipation
+is the Fisher term ``sum_e c_e (w_j - w_i)(phi'(w_j) - phi'(w_i))`` over
+the edges, exactly the rate at which the energy falls under ``D w' = -L w``.
+This module evaluates both, checks the dissipation identity on recorded
 trajectories, computes the guaranteed exponential rate
 ``2 lam / tau * exp(-2 M / tau)``, certifies the entropy-Sobolev ratio and
 the constant minimizer, evaluates duality lower bounds, and fits empirical
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import DOMAIN_FLOOR, EntropyGenerator, conjugate_values
-from .grid import ScalarField, constant_field, integrate
+from .grid import ScalarField, constant_field
 from .potential import GibbsField
 from .solver import ROUNDOFF_FLOOR, SolverDiagnosticError
 
@@ -54,17 +54,21 @@ class RateReport:
 
 
 def energy(w: ScalarField, gibbs: GibbsField, gen: EntropyGenerator) -> float:
-    """Weighted integral of ``phi(w)`` against the Gibbs weight.
+    """The energy ``sum_i m_i phi(w_i)`` over the operator's node masses.
 
-    Entries in ``[-ROUNDOFF_FLOOR, 0)`` are solver roundoff, evaluated at 0;
-    anything more negative is a genuine sign violation and rejected.
+    These are the masses the flow conserves and the Fisher term is exact
+    for.  Entries in ``[-ROUNDOFF_FLOOR, 0)`` are solver roundoff, evaluated
+    at 0; anything more negative is a genuine sign violation and rejected,
+    as is a sum that is not finite (``phi`` overflowed).
     """
     if w.grid != gibbs.grid:
         raise ValueError("density lives on a different grid")
     if np.any(w.values < -ROUNDOFF_FLOOR):
         raise ValueError("density has negative entries")
-    vals = gen.phi(np.maximum(w.values, 0.0))
-    return integrate(ScalarField(w.grid, vals), weight=gibbs.gamma)
+    e = gibbs.operator().inner(gen.phi(np.maximum(w.values, 0.0)), 1.0)
+    if not math.isfinite(e):
+        raise ValueError(f"the energy is not finite ({e})")
+    return e
 
 
 def fisher(w: ScalarField, gibbs: GibbsField, gen: EntropyGenerator) -> float:
@@ -143,7 +147,7 @@ def sobolev_ratio(w: ScalarField, gibbs: GibbsField, gen: EntropyGenerator) -> f
     """Energy-to-Fisher ratio of a unit-mass density on the Gibbs weight.
 
     Returns ``None`` for (near-)constant densities, where both sides vanish.
-    The theory bounds the ratio by ``exp(2 M / tau) * tau / (2 lam)``.
+    The theory bounds the ratio by ``1 / lambda_rate(lam, tau, M)``.
     """
     mass = gibbs.operator().inner(w.values, 1.0)
     if abs(mass - 1.0) > 1e-6:
@@ -169,16 +173,15 @@ def compute_minimizer(gibbs: GibbsField, gen: EntropyGenerator) -> tuple[ScalarF
 
 def duality_lower_bound(S: ScalarField, w: ScalarField, gibbs: GibbsField,
                         gen: EntropyGenerator) -> float:
-    """Fenchel lower bound ``<S, w> - integral of phi*(S)`` for the energy.
+    """Fenchel lower bound ``<S, w> - sum_i m_i phi*(S_i)`` for the energy.
 
-    Never exceeds ``energy(w)``; equality holds at ``S = phi'(w)``.
+    Never exceeds ``energy(w)``, which sums over the same node masses;
+    equality holds at ``S = phi'(w)``.
     """
     if S.grid != gibbs.grid or w.grid != gibbs.grid:
         raise ValueError("fields live on different grids")
     op = gibbs.operator()
-    pairing = op.inner(S.values, w.values)
-    conj = ScalarField(gibbs.grid, conjugate_values(gen, S.values))
-    return pairing - integrate(conj, weight=gibbs.gamma)
+    return op.inner(S.values, w.values) - op.inner(conjugate_values(gen, S.values), 1.0)
 
 
 def ou_oracle(m0: float, lam: float, tau: float, t: float) -> tuple[float, float]:

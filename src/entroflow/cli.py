@@ -86,7 +86,7 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> dict:
         if cfg.snapshot_every > 0 and (len(records) - 1) % cfg.snapshot_every == 0:
             field_to_csv(w, out_dir / f"w_t{t:.6g}.csv")
 
-    final, steps = evolve(state, cfg, observer=observer)
+    _, steps = evolve(state, cfg, observer=observer)
     _write_timeseries(out_dir / "timeseries.csv", records)
 
     theory = lambda_rate(cfg.lam, cfg.tau, gibbs.m_grid)
@@ -112,7 +112,7 @@ def _execute_run(cfg: RunConfig, out_dir: Path) -> dict:
         "fit_window": window,
         "steps": steps,
         "solver_backend": solver_backend(gibbs.operator(), cfg),
-        "t_final": final.t,
+        "t_final": records[-1].t,
         "wall_time_s": time.perf_counter() - started,
     }
     _write_json(out_dir / "summary.json", summary)

@@ -30,9 +30,8 @@ grid, the weight and the record cadence (:func:`solver_backend`):
   mode products with the axis eigenbases.  The solve is exact up to
   roundoff, in the far tail as well.  ``k`` steps are the ``k``-th power of
   that diagonal scale, so :func:`evolve` advances a whole record interval
-  (the whole run without an observer) with one forward and one back mode
-  product, and the Crank-Nicolson undershoot warning sees the recorded
-  states only.
+  with one forward and one back mode product, and the Crank-Nicolson
+  undershoot warning sees the recorded states only.
 * a Chebyshev expansion of the ``k``-step map for dataset weights in 2-d
   and 3-d, when a record interval of ``k = record_every`` steps needs a
   series of degree at most ``CHEBYSHEV_DEGREES_PER_STEP * k``.  With
@@ -86,12 +85,12 @@ grid, the weight and the record cadence (:func:`solver_backend`):
   norm only; in the far tail, where the masses are tiny, pointwise values
   can be off by far more than ``linear_tol`` (up to 2.0e-6 relative in
   ``w_min``/``w_max`` over the first 1000 steps of ``configs/atoms2d.toml``
-  taken by PCG, against a sparse LU solve of the same steps).  Each solve moves the
-  mass by its residual's sum, a drift that grows with the step count (4.4e-11
-  over 5000 PCG steps of ``atoms2d`` on a 41^2 grid, 4.6e-6 over 9 steps of
-  a tail spike on a 41^3 dataset grid).  These errors apply to PCG inputs
-  only.  ``linear_tol`` and ``max_linear_iters`` govern this backend (and
-  the Chebyshev backend's fallback) only.
+  taken by PCG, against a sparse LU solve of the same steps); this error
+  applies to PCG inputs only.  Each solve moves the mass by its residual's
+  sum, so PCG also stops only once that sum is within ``linear_tol`` of the
+  mass: each step keeps the mass to ``linear_tol`` of itself.
+  ``linear_tol`` and ``max_linear_iters`` govern this backend (and the
+  Chebyshev backend's fallback) only.
 """
 
 from __future__ import annotations
@@ -150,15 +149,14 @@ class SolverConfig:
 
 @dataclass
 class FlowState:
-    """Current time and relative density of one trajectory."""
+    """Relative density of one trajectory, and the Gibbs weight it is relative to."""
 
-    t: float
     w: ScalarField
     gibbs: GibbsField
 
 
 def init_state(gibbs: GibbsField, w0: ScalarField) -> FlowState:
-    """Rescale a nonnegative initial density to unit weighted mass at t = 0."""
+    """Rescale a nonnegative initial density to unit weighted mass."""
     if w0.grid != gibbs.grid:
         raise ValueError("initial density lives on a different grid")
     if np.any(w0.values < 0):
@@ -166,7 +164,7 @@ def init_state(gibbs: GibbsField, w0: ScalarField) -> FlowState:
     mass = gibbs.operator().inner(w0.values, 1.0)
     if mass <= 0:
         raise ValueError("initial density has zero weighted mass")
-    return FlowState(t=0.0, w=ScalarField(gibbs.grid, w0.values / mass), gibbs=gibbs)
+    return FlowState(w=ScalarField(gibbs.grid, w0.values / mass), gibbs=gibbs)
 
 
 # the Chebyshev series is fitted at CHEBYSHEV_POINTS points and cut after the
@@ -294,11 +292,9 @@ class Stepper:
     weight and ``cfg.record_every`` (see :func:`solver_backend`): the
     tridiagonal scans, fast diagonalization and the Chebyshev series are
     exact up to roundoff, Jacobi PCG stops on its preconditioned residual.
-    The scans and PCG take the ``k`` steps one by one; fast diagonalization
-    jumps over them with one forward and one back mode product, the
-    Chebyshev series in jumps of at most ``record_every`` steps.  The first
-    Crank-Nicolson state below ``-ROUNDOFF_FLOOR`` is reported with a
-    warning, later ones are not.
+    Fast diagonalization and the Chebyshev series take the ``k`` steps in
+    one jump, the scans and PCG one by one.  The first Crank-Nicolson state
+    below ``-ROUNDOFF_FLOOR`` is reported with a warning, later ones are not.
     """
 
     def __init__(self, op: WeightedOperator, dt: float, cfg: SolverConfig):
@@ -331,8 +327,6 @@ class Stepper:
             # four by _chebyshev)
             self.buffers = [np.empty_like(self.mass) for _ in range(5)]
             self.diag = coef * op.stiffness_diagonal + self.mass
-        # the most steps one Chebyshev jump takes; the scans and PCG take one
-        self.jump_steps = cfg.record_every if self.backend == "chebyshev" else 1
         if self.backend == "chebyshev":
             lam = spectrum_bound(op)
             self.clam = coef * lam
@@ -348,10 +342,9 @@ class Stepper:
         ``amp**k - 1`` with ``amp = 1 + change``; that is exactly zero on the
         constants, so the jump conserves mass like one step does.  With
         ``k = 1`` it is the one-step ``change`` itself.  The Chebyshev
-        backend jumps ``record_every`` steps at a time (fewer in the last
-        jump), so a run takes the same jumps whether it is observed or not;
-        a jump below ``-ROUNDOFF_FLOOR`` is redone by PCG steps.  The scans
-        and PCG take ``k`` single steps and check each one.
+        backend jumps the ``k`` steps by one series; a jump below
+        ``-ROUNDOFF_FLOOR`` is redone by PCG steps.  The scans and PCG take
+        ``k`` single steps and check each one.
         """
         if self.backend == "fastdiag":
             if self.jump[0] != k:  # one cached power: a run asks for at most two
@@ -360,19 +353,15 @@ class Stepper:
             x = w + self._modes(self.jump[1] * coeffs, self.back).ravel()
             self._check_sign(x)
             return x
-        x = w
-        for done in range(0, k, self.jump_steps):
-            j = min(self.jump_steps, k - done)
-            y = self._chebyshev(x, j) if self.backend == "chebyshev" else None
-            # below -ROUNDOFF_FLOOR, a jump is the series' roundoff in the far
-            # tail or a Crank-Nicolson undershoot: PCG steps redo it and check each step
-            if y is None or float(np.min(y)) < -ROUNDOFF_FLOOR:
-                y = x
-                for _ in range(j):
-                    s = self._tridiag(y) if self.backend == "tridiag" else self._pcg(y)
-                    y = 2.0 * s - y if self.crank_nicolson else s
-                    self._check_sign(y)
-            x = y
+        x = self._chebyshev(w, k) if self.backend == "chebyshev" else None
+        # below -ROUNDOFF_FLOOR, a jump is the series' roundoff in the far
+        # tail or a Crank-Nicolson undershoot: PCG steps redo it and check each step
+        if x is None or float(np.min(x)) < -ROUNDOFF_FLOOR:
+            x = w
+            for _ in range(k):
+                s = self._tridiag(x) if self.backend == "tridiag" else self._pcg(x)
+                x = 2.0 * s - x if self.crank_nicolson else s
+                self._check_sign(x)
         return x
 
     def _chebyshev(self, w: np.ndarray, k: int) -> np.ndarray | None:
@@ -450,7 +439,10 @@ class Stepper:
 
         ``A`` is symmetric positive definite; convergence is declared on the
         preconditioned residual norm relative to the preconditioned norm of
-        ``b = D w``.  ``b``, ``r``, ``z``, ``p`` and ``A p`` live in
+        ``b = D w``, and on the residual's sum relative to ``sum b``: since
+        ``1^T L = 0``, ``sum r`` is minus the step's mass change, which the
+        norm alone leaves large next to a spike at a tail node, where
+        ``diag`` is tiny.  ``b``, ``r``, ``z``, ``p`` and ``A p`` live in
         ``buffers``, prepared once: as fresh arrays on every solve, they
         made the C heap shrink and regrow, at about 100 page faults per step
         on a 101^2 grid.
@@ -461,9 +453,10 @@ class Stepper:
         x = w.copy()
         np.subtract(b, self._system(x, ap), out=r)
         target = self.tol * math.sqrt(float(np.dot(b, np.divide(b, diag, out=z))))
+        mass_target = self.tol * abs(float(np.sum(b)))
         np.divide(r, diag, out=z)
         rho = float(np.dot(r, z))
-        if math.sqrt(rho) <= target:
+        if math.sqrt(rho) <= target and abs(float(np.sum(r))) <= mass_target:
             return x
         p[:] = z
         for _ in range(self.max_iters):
@@ -477,7 +470,7 @@ class Stepper:
             r -= alpha * ap
             np.divide(r, diag, out=z)
             rho_new = float(np.dot(r, z))
-            if math.sqrt(rho_new) <= target:
+            if math.sqrt(rho_new) <= target and abs(float(np.sum(r))) <= mass_target:
                 return x
             p *= rho_new / rho
             p += z
@@ -489,35 +482,31 @@ class Stepper:
 
 
 def evolve(state: FlowState, cfg: SolverConfig, observer=None) -> tuple[FlowState, int]:
-    """Run the flow to ``t_final``, reporting to ``observer`` along the way.
+    """Run the flow from ``state`` for ``t_final``, reporting to ``observer`` along the way.
 
     The observer is called with ``(t, w)`` at time 0, after every
     ``record_every``-th step, and after the final step (once, even when the
     step count is a multiple of the cadence).  The stepper advances from
-    record to record, or over all full steps at once without an observer
-    (the Chebyshev backend still jumps ``record_every`` steps at a time);
-    a non-finite state raises ``ValueError`` at the next record at the
-    latest.  Returns the final state and the number of steps taken.
+    record to record whether or not anyone observes, so the final state
+    depends on ``state`` and ``cfg`` only; a non-finite state raises
+    ``ValueError`` at the next record at the latest.  Returns the final
+    state and the number of steps taken.
     """
     op = state.gibbs.operator()
     n_steps = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
     remainder = cfg.t_final - n_steps * cfg.dt
     fractional = remainder > 1e-9 * cfg.dt
 
-    grid = state.w.grid
-    w, t = state.w, state.t
-    if observer is not None:
-        observer(0.0, w)
+    grid, w, every = state.w.grid, state.w, cfg.record_every
+    observe = observer or (lambda t, w: None)
+    observe(0.0, w)
     stepper = Stepper(op, cfg.dt, cfg)
-    every = cfg.record_every if observer is not None else max(n_steps, 1)
     for done in range(0, n_steps, every):
         k = min(every, n_steps - done)
         w = ScalarField(grid, stepper.advance(w.values, k))
-        t = (done + k) * cfg.dt
-        if observer is not None and (k == every or not fractional):
-            observer(t, w)
+        if k == every or not fractional:
+            observe((done + k) * cfg.dt, w)
     if fractional:
-        w, t = ScalarField(grid, Stepper(op, remainder, cfg).advance(w.values)), cfg.t_final
-        if observer is not None:
-            observer(t, w)
-    return FlowState(t=t, w=w, gibbs=state.gibbs), n_steps + fractional
+        w = ScalarField(grid, Stepper(op, remainder, cfg).advance(w.values))
+        observe(cfg.t_final, w)
+    return FlowState(w=w, gibbs=state.gibbs), n_steps + fractional

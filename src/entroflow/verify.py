@@ -23,6 +23,7 @@ from .analysis import (
     dissipation_check,
     duality_lower_bound,
     energy,
+    lambda_rate,
     snapshot,
     sobolev_ratio,
 )
@@ -206,7 +207,7 @@ def run_verification(cfg: RunConfig) -> list[CheckResult]:
         f"min duality gap {dual_margin:.3e}; equality defect at the gradient {eq_gap:.2e}",
     ))
 
-    bound_ratio = math.exp(2.0 * gibbs.m_grid / gibbs.tau) * gibbs.tau / (2.0 * gibbs.lam)
+    bound_ratio = 1.0 / lambda_rate(gibbs.lam, gibbs.tau, gibbs.m_grid)
     ratio_worst = 0.0
     for _ in range(100):
         w = _smooth_density(gibbs, rng)

@@ -144,6 +144,8 @@ def test_benchmark_trace_hooks(tmp_path):
     trace = json.loads(spans.read_text())
     names = {s["name"] for s in trace["spans"]}
     assert {"grid.operator", "solver.evolve", "analysis.snapshot"} <= names
+    # without snapshots the harness writes init_state(...).w as its probe
+    assert {"solver.init_state", "grid.field_to_csv"} <= names
     # 9^3 nodes plus two entries for each of the 3 * 8 * 9^2 edges
     assert trace["counts"]["grid.nnz"] == 4617
 

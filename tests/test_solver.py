@@ -69,6 +69,12 @@ def atoms9_gibbs():
 
 
 @pytest.fixture(scope="module")
+def product2d_gibbs():
+    """A Gaussian weight on an anisotropic 9x13 grid: a product, so it takes fast diagonalization."""
+    return gaussian_gibbs(*ANISOTROPIC[0])
+
+
+@pytest.fixture(scope="module")
 def coarse_gibbs():
     g = build_grid(1, -6, 6, 101)
     return build_potential(None, None, None, 1.0, 1.0, g)
@@ -83,7 +89,6 @@ class TestInitState:
     def test_constant_rescales_to_inverse_mass(self, coarse_gibbs):
         state = init_state(coarse_gibbs, constant_field(coarse_gibbs.grid, 3.7))
         np.testing.assert_allclose(state.w.values, 1.0, rtol=1e-12)
-        assert state.t == 0.0
 
     def test_shifted_gaussian_mass_exactly_one(self, coarse_gibbs):
         w0 = ou_relative_density(coarse_gibbs.grid, 0.5, 1.0, 1.0, 0.0)
@@ -188,34 +193,34 @@ class TestEvolve:
     def test_fractional_final_step(self, coarse_gibbs):
         cfg = SolverConfig(dt=3e-3, t_final=0.01)
         state = init_state(coarse_gibbs, constant_field(coarse_gibbs.grid, 1.0))
-        final, n = evolve(state, cfg)
+        times = []
+        _, n = evolve(state, cfg, observer=lambda t, w: times.append(t))
         assert n == 4
-        assert final.t == pytest.approx(0.01)
+        assert times[-1] == pytest.approx(0.01)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
-    @given(n_steps=st.integers(0, 30), every=st.integers(1, 12), fractional=st.booleans(),
-           observe=st.booleans())
-    def test_observer_schedule(self, coarse_gibbs, n_steps, every, fractional, observe):
+    @given(n_steps=st.integers(0, 30), every=st.integers(1, 12), fractional=st.booleans())
+    def test_observer_schedule(self, coarse_gibbs, product2d_gibbs, atoms9_gibbs,
+                               n_steps, every, fractional):
         """Records at time 0, after every ``record_every``-th step and after the
-        final step once; the steps taken and the final state do not depend on
-        whether anyone observes."""
-        dt = 0.25
-        t_final = (n_steps + (0.5 if fractional else 0.0)) * dt
-        cfg = SolverConfig(dt=dt, t_final=t_final, record_every=every)
-        state = init_state(coarse_gibbs, ou_relative_density(coarse_gibbs.grid, 0.5, 1.0, 1.0, 0.0))
-        records = []
-        final, n = evolve(state, cfg, observer=(lambda t, w: records.append((t, w))) if observe else None)
-        assert n == n_steps + fractional
-        assert final.t == t_final
-        if observe:
+        final step once; the steps taken and the final state are the same to
+        the bit whether anyone observes, on every backend."""
+        for gibbs, dt, backend in ((coarse_gibbs, 0.25, "tridiag"), (product2d_gibbs, 0.25, "fastdiag"),
+                                   (atoms9_gibbs, 0.01, "pcg" if every == 1 else "chebyshev")):
+            t_final = (n_steps + (0.5 if fractional else 0.0)) * dt
+            cfg = SolverConfig(dt=dt, t_final=t_final, record_every=every)
+            assert solver_backend(gibbs.operator(), cfg) == backend
+            state = init_state(gibbs, ou_relative_density(gibbs.grid, 0.5, 1.0, 1.0, 0.0))
+            records = []
+            final, n = evolve(state, cfg, observer=lambda t, w: records.append((t, w)))
+            unobserved, n_unobserved = evolve(state, cfg)
+            assert n == n_unobserved == n_steps + fractional
             expected = [0.0] + [j * dt for j in range(every, n_steps + 1, every)]
             if fractional or n_steps % every:
                 expected.append(t_final)
             assert [t for t, _ in records] == expected
-            assert records[-1][1] is final.w
-        else:
-            observed, _ = evolve(state, cfg, observer=lambda t, w: None)
-            assert np.array_equal(final.w.values, observed.w.values)
+            assert records[-1][0] == t_final and records[-1][1] is final.w
+            assert np.array_equal(unobserved.w.values, final.w.values)
 
 
 class TestCrankNicolson:
@@ -353,10 +358,9 @@ class TestFastDiagonalization:
         assert n_steps == 500 and len(masses) == 21
         assert max(abs(m - 1.0) for m in masses) <= 1e-12
 
-    @pytest.mark.parametrize("observe", [True, False])
-    def test_two_mode_products_per_record(self, monkeypatch, observe):
-        """One forward and one back product per record interval, one pair for a
-        run without an observer, and one pair for the remainder step."""
+    def test_two_mode_products_per_record(self, monkeypatch):
+        """One forward and one back product per record interval, and one pair
+        for the remainder step."""
         calls = []
         modes = Stepper._modes
         monkeypatch.setattr(Stepper, "_modes", lambda self, *a: calls.append(1) or modes(self, *a))
@@ -364,12 +368,10 @@ class TestFastDiagonalization:
         state = init_state(gibbs, ou_relative_density(gibbs.grid, 0.5, 1.0, 1.0, 0.0))
         times = []
         _, n_steps = evolve(state, SolverConfig(dt=1e-2, t_final=1.005, record_every=7),
-                            observer=(lambda t, w: times.append(t)) if observe else None)
+                            observer=lambda t, w: times.append(t))
         assert n_steps == 101
-        intervals = math.ceil(100 / 7) if observe else 1
-        assert len(calls) == 2 * (intervals + 1)
-        if observe:
-            assert len(times) == 1 + 100 // 7 + 1
+        assert len(calls) == 2 * (math.ceil(100 / 7) + 1)
+        assert len(times) == 1 + 100 // 7 + 1
 
     def test_crank_nicolson_warns_on_3d_spike(self):
         gibbs = gaussian_gibbs((13, 13, 13), -4.0, 4.0)
@@ -398,6 +400,19 @@ class TestConjugateGradients:
             ref = 2.0 * ref - w
         err = stepper.advance(w) - ref
         assert math.sqrt(op.inner(err, err) / op.inner(ref, ref)) <= 1e-11
+
+    def test_tail_spike_keeps_the_mass(self, atoms3d_gibbs):
+        """PCG stops on the residual's sum too, which is the step's mass change:
+        a spike at a corner node of a 3-d dataset grid keeps its mass to 1e-10
+        (the residual norm alone let it drift by 4.6e-6 over these 9 steps)."""
+        op = atoms3d_gibbs.operator()
+        cfg = SolverConfig(dt=1e-2, t_final=0.09, record_every=3)
+        assert solver_backend(op, cfg) == "pcg"
+        state = init_state(atoms3d_gibbs, ScalarField(op.grid, point_and_box_inputs(op.grid)["tail"]))
+        masses = []
+        _, n_steps = evolve(state, cfg, observer=lambda t, w: masses.append(op.inner(w.values, 1.0)))
+        assert n_steps == 9 and len(masses) == 4
+        assert max(abs(m - 1.0) for m in masses) <= 1e-10
 
 
 def abs_system(op, coef, v):
@@ -636,18 +651,6 @@ class TestChebyshev:
                             observer=lambda t, w: masses.append(op.inner(w.values, 1.0)))
         assert n_steps == 2000
         assert max(abs(m - 1.0) for m in masses) <= 1e-12
-
-    @pytest.mark.parametrize("t_final", [1.0, 1.025])
-    def test_observer_does_not_change_the_jumps(self, atoms9_gibbs, t_final):
-        """Without an observer the run takes the same ``record_every``-step jumps
-        (and the same remainder step): the final state is the same to the bit."""
-        cfg = SolverConfig(dt=0.05, t_final=t_final, record_every=7)
-        assert solver_backend(atoms9_gibbs.operator(), cfg) == "chebyshev"
-        state = init_state(atoms9_gibbs, ou_relative_density(atoms9_gibbs.grid, 0.5, 1.0, 1.0, 0.0))
-        observed, n_steps = evolve(state, cfg, observer=lambda t, w: None)
-        final, _ = evolve(state, cfg)
-        assert n_steps == 20 + (t_final > 1.0)
-        assert np.array_equal(final.w.values, observed.w.values)
 
     def test_crank_nicolson_undershoot_is_redone_by_pcg(self, atoms9_gibbs):
         """A Crank-Nicolson record below zero is redone by PCG steps from the same
