@@ -652,6 +652,18 @@ class TestChebyshev:
         assert n_steps == 2000
         assert max(abs(m - 1.0) for m in masses) <= 1e-12
 
+    @pytest.mark.parametrize("t_final", [1.0, 1.025])
+    def test_observer_does_not_change_the_jumps(self, atoms9_gibbs, t_final):
+        """Without an observer the run takes the same ``record_every``-step jumps
+        (and the same remainder step): the final state is the same to the bit."""
+        cfg = SolverConfig(dt=0.05, t_final=t_final, record_every=7)
+        assert solver_backend(atoms9_gibbs.operator(), cfg) == "chebyshev"
+        state = init_state(atoms9_gibbs, ou_relative_density(atoms9_gibbs.grid, 0.5, 1.0, 1.0, 0.0))
+        observed, n_steps = evolve(state, cfg, observer=lambda t, w: None)
+        final, _ = evolve(state, cfg)
+        assert n_steps == 20 + (t_final > 1.0)
+        assert np.array_equal(final.w.values, observed.w.values)
+
     def test_crank_nicolson_undershoot_is_redone_by_pcg(self, atoms9_gibbs):
         """A Crank-Nicolson record below zero is redone by PCG steps from the same
         start: the state and the warning are those of the PCG backend."""
