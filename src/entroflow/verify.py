@@ -53,14 +53,16 @@ ROUGHNESS, MODES = 0.6, 4
 
 def _smooth_density(gibbs, rng) -> ScalarField:
     g = gibbs.grid
-    field = np.zeros(g.n)
+    # each cosine depends on one coordinate: evaluate it on its axis, and sum
+    # on the smallest slab that holds the axes reached so far (each node sees
+    # the same additions in the same order as on the full grid)
+    field = np.zeros([1] * g.dim)
     for a in range(g.dim):
-        # each cosine depends on one coordinate: evaluate on the axis, broadcast
         x = (g.axis_coords(a) - g.lo[a]) / (g.hi[a] - g.lo[a])
         x = x.reshape([-1 if b == a else 1 for b in range(g.dim)])
         for k in range(1, MODES + 1):
-            field += ROUGHNESS * rng.normal() / k * np.cos(math.pi * k * x)
-    w = np.exp(field).ravel()
+            field = field + ROUGHNESS * rng.normal() / k * np.cos(math.pi * k * x)
+    w = np.exp(np.broadcast_to(field, g.n)).ravel()
     mass = gibbs.operator().inner(w, 1.0)
     return ScalarField(g, w / mass)
 

@@ -424,13 +424,17 @@ class TestRunCommand:
                 lines = [header] + [",".join(map(repr, row)) for row in rows]
                 assert path.read_bytes() == ("\n".join(lines) + "\n").encode(), path.name
 
-    @pytest.mark.parametrize("text,t_final,every", [(FAST_OU, 0.7, 20), (FAST_OU_3D, 0.1, 2)],
-                             ids=["1d", "3d"])
-    def test_run_restarts_from_a_written_snapshot(self, tmp_path, text, t_final, every):
+    @pytest.mark.parametrize("text,t_final,every,extrema_atol",
+                             [(FAST_OU, 0.7, 20, 0.0), (FAST_OU_3D, 0.1, 2, 1e-14)], ids=["1d", "3d"])
+    def test_run_restarts_from_a_written_snapshot(self, tmp_path, text, t_final, every, extrema_atol):
         """A run from a written ``w_t*.csv`` (``initial.kind = "from-file"``) repeats
         the tail of the run that wrote it: energy, mass, ``w_min`` and ``w_max`` to
         1e-12 relative.  The snapshot lies on a multiple of ``record_every`` steps,
-        so the two runs record the same states."""
+        so the two runs record the same states.  Fast diagonalization (3-d)
+        projects the restart's start state onto the modes once, where the first
+        run carried its modes through that record, so ``w_min`` and ``w_max``
+        may also differ by ``extrema_atol`` of the largest ``w_max`` (measured:
+        3e-17 and 5.7e-14).  The 1-d scans carry no state."""
         first, out = tmp_path / "first.toml", tmp_path / "first"
         first.write_text(text + f"output.snapshot_every = {every}\n", encoding="utf-8")
         assert main(["--config", str(first), "--out", str(out), "run"]) == 0
@@ -444,10 +448,12 @@ class TestRunCommand:
         assert main(["--config", str(restart), "--out", str(tmp_path / "restart"), "run"]) == 0
         tail = read_timeseries(tmp_path / "restart" / "timeseries.csv")
         assert len(tail) == len(records) - every
+        atol = extrema_atol * max(r.w_max for r in records)
         for key in ("energy", "mass", "w_min", "w_max"):
             np.testing.assert_allclose([getattr(r, key) for r in tail],
                                        [getattr(r, key) for r in records[every:]],
-                                       rtol=1e-12, err_msg=key)
+                                       rtol=1e-12, atol=atol if key in ("w_min", "w_max") else 0.0,
+                                       err_msg=key)
 
 
 SMOKE_BASE = """\

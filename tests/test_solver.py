@@ -358,9 +358,10 @@ class TestFastDiagonalization:
         assert n_steps == 500 and len(masses) == 21
         assert max(abs(m - 1.0) for m in masses) <= 1e-12
 
-    def test_two_mode_products_per_record(self, monkeypatch):
-        """One forward and one back product per record interval, and one pair
-        for the remainder step."""
+    def test_one_forward_product_per_trajectory(self, monkeypatch):
+        """One forward product for the start state and one back product per
+        record interval: each jump carries the modes of the state it returns
+        to the next.  The remainder step's own stepper takes one of each."""
         calls = []
         modes = Stepper._modes
         monkeypatch.setattr(Stepper, "_modes", lambda self, *a: calls.append(1) or modes(self, *a))
@@ -370,8 +371,56 @@ class TestFastDiagonalization:
         _, n_steps = evolve(state, SolverConfig(dt=1e-2, t_final=1.005, record_every=7),
                             observer=lambda t, w: times.append(t))
         assert n_steps == 101
-        assert len(calls) == 2 * (math.ceil(100 / 7) + 1)
+        assert len(calls) == (1 + math.ceil(100 / 7)) + 2 == 18
         assert len(times) == 1 + 100 // 7 + 1
+
+    @pytest.mark.parametrize("n,scheme,every", [((17, 17, 17), "crank-nicolson", 3),
+                                                ((15, 19, 13), "implicit-euler", 5)])
+    def test_records_match_the_one_shot_map(self, n, scheme, every):
+        """Every record of a run lies within 1e-11 of its own ``max |w|`` of the
+        one-shot ``advance(w0, every * i)``.  Re-projecting every recorded state
+        onto the modes accumulated roundoff to 2.0e-10 (Crank-Nicolson) and
+        9.9e-11 (implicit Euler) here; carrying the modes gives 2.9e-13 and 1.7e-13."""
+        gibbs = gaussian_gibbs(n, -6.0, 6.0)
+        op = gibbs.operator()
+        state = init_state(gibbs, ou_relative_density(op.grid, 0.5, 1.0, 1.0, 0.0))
+        cfg = SolverConfig(dt=1e-2, t_final=1.5, scheme=scheme, record_every=every)
+        records = []
+        evolve(state, cfg, observer=lambda t, w: records.append(w.values))
+        assert len(records) == 150 // every + 1
+        for i, w in enumerate(records[1:], 1):
+            ref = Stepper(op, cfg.dt, cfg).advance(state.w.values, every * i)
+            assert np.max(np.abs(w - ref)) <= 1e-11 * np.max(np.abs(ref)), i
+
+    @pytest.mark.parametrize("scheme", ["implicit-euler", "crank-nicolson"])
+    def test_changed_state_is_projected_afresh(self, scheme):
+        """A jump from the last returned state with one entry changed in place
+        is a fresh stepper's jump from that array, bit for bit.  Unchanged, the
+        state takes its carried modes, which differ from a fresh projection."""
+        op = gaussian_gibbs(*ANISOTROPIC[1]).operator()
+        cfg = SolverConfig(dt=1e-2, t_final=1.0, scheme=scheme, record_every=3)
+        w = np.exp(np.random.default_rng(3).normal(size=op.grid.num_nodes))
+        stepper, twin = Stepper(op, cfg.dt, cfg), Stepper(op, cfg.dt, cfg)
+        x = stepper.advance(stepper.advance(w, 3), 3)
+        y = twin.advance(twin.advance(w, 3), 3)
+        assert not np.array_equal(twin.advance(y, 3), Stepper(op, cfg.dt, cfg).advance(y, 3))
+        x[17] *= 1.0 + 1e-9
+        assert np.array_equal(stepper.advance(x, 3), Stepper(op, cfg.dt, cfg).advance(x, 3))
+
+    def test_long_run_stays_off_subnormal_modes(self):
+        """Modes that decay for thousands of steps are zeroed before they
+        reach the subnormal floats; the mass and the constant state stay."""
+        op = gaussian_gibbs((9, 13), (-4.0, -5.0), (5.0, 3.0)).operator()
+        cfg = SolverConfig(dt=1e-2, t_final=1.0, scheme="crank-nicolson", record_every=3)
+        stepper = Stepper(op, cfg.dt, cfg)
+        w = np.exp(np.random.default_rng(2).normal(size=op.grid.num_nodes))
+        x = w
+        for _ in range(2000):
+            x = stepper.advance(x, 3)
+        modes = np.abs(stepper.last_modes[stepper.last_modes != 0.0])
+        assert np.min(modes) >= np.finfo(float).tiny
+        mean = op.inner(w, 1.0) / op.inner(np.ones_like(w), 1.0)
+        assert np.max(np.abs(x - mean)) <= 1e-12 * mean
 
     def test_crank_nicolson_warns_on_3d_spike(self):
         gibbs = gaussian_gibbs((13, 13, 13), -4.0, 4.0)
